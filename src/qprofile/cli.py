@@ -29,7 +29,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_CHECK = 4
 
-# acceptable relative drift of measured comm phases from profile nominals
+# acceptable relative drift of measured instrument phases from profile nominals
 CHECK_TOLERANCE = 0.10
 
 
@@ -73,22 +73,12 @@ def _load_profile(path: str | None) -> tuple[LatencyProfile, Topology, str]:
     return profile, topology, os.path.basename(path)
 
 
-def _check_latencies(result: BenchmarkResult, profile: LatencyProfile) -> list[str]:
-    """Compare byte-independent comm phase means against profile nominals.
-
-    Prepare is excluded: its nominal depends on per-iteration program bytes.
-    """
+def _check_latencies(result: BenchmarkResult) -> list[str]:
+    """Compare each instrument phase's mean with its profile nominal for the
+    jobs the cell ran (LatencyProfile.phase_ms), prepare included."""
     failures = []
     for n, cell in result.cells.items():
-        modules = -(-n // 6)  # readout modules touched by an n-qubit job
-        expectations = {
-            "stop": profile.stop_ms,
-            "final_stop": profile.stop_ms,
-            "start": profile.start_ms,
-            "retrieve": profile.retrieve_ms * modules,
-            "wait_done": profile.done_finalize_ms,
-        }
-        for phase, nominal in expectations.items():
+        for phase, nominal in cell.nominal_ms.items():
             if nominal <= 0:
                 continue
             measured = cell.report.phase_mean(phase)
@@ -127,7 +117,7 @@ def _cmd_run(args) -> int:
     if args.out:
         print(f"reports written to {args.out}")
     if args.check:
-        failures = _check_latencies(result, profile)
+        failures = _check_latencies(result)
         if failures:
             for line in failures:
                 print(f"CHECK FAIL {line}", file=sys.stderr)
@@ -203,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--check",
         action="store_true",
-        help="exit 4 if measured comm phases drift >10%% from profile nominals",
+        help="exit 4 if the mean of stop, prepare, start, wait_done, retrieve or "
+        "final_stop drifts >10%% from its profile nominal",
     )
     run.set_defaults(func=_cmd_run)
 

@@ -119,6 +119,7 @@ class ClusterClient:
         self._main = ClusterConnection(host, port)
         self._streams: list[ClusterConnection] = []
         self._pool: ThreadPoolExecutor | None = None
+        self._pool_size = 0
 
     # -- single commands ----------------------------------------------------
 
@@ -153,10 +154,11 @@ class ClusterClient:
         workers = min(len(files), MAX_PARALLEL_STREAMS)
         for i in range(workers):
             self._stream(i)  # connect outside the timed window
-        if self._pool is None or self._pool._max_workers < workers:
+        if self._pool_size < workers:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(max_workers=max(workers, 1))
+            self._pool = ThreadPoolExecutor(max_workers=workers)
+            self._pool_size = workers
 
         def upload(slot: int) -> None:
             conn = self._streams[slot]
@@ -263,6 +265,7 @@ class ClusterClient:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
             self._pool = None
+            self._pool_size = 0
         for conn in [self._main, *self._streams]:
             conn.close()
         self._streams = []

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import wire
+from .compiler import CompiledJob
 from .util import mix_seed
 
 SEQUENCER_STATES = ("idle", "armed", "running", "done")
@@ -83,6 +84,33 @@ class LatencyProfile:
             + self.prepare_concurrent_ms
             + program_bytes * self.prepare_per_byte_ns * 1e-6
         )
+
+    def phase_ms(self, job: CompiledJob, prepare_mode: str) -> dict[str, float]:
+        """Nominal instrument time, in ms, of each phase of one iteration of job.
+
+        Sequential prepare is the sum of prepare_ms over the job's files.
+        Parallel prepare gates only the serial component: files x
+        prepare_serial_ms, plus one prepare_concurrent_ms and the largest
+        file's per-byte term. retrieve is paid per readout module. wait_done
+        follows PhaseRecord: done_finalize_ms, without the slept schedule
+        (schedule_seconds x dilation) that the client's wall wait adds.
+        """
+        sizes = [f.size_bytes() for f in job.files]
+        if prepare_mode == "sequential":
+            prepare = sum(self.prepare_ms(b) for b in sizes)
+        elif prepare_mode == "parallel":
+            # prepare_ms of the largest file already holds one serial component
+            prepare = (len(sizes) - 1) * self.prepare_serial_ms + self.prepare_ms(max(sizes))
+        else:
+            raise ValueError(f"unknown prepare mode {prepare_mode!r}")
+        return {
+            "stop": self.stop_ms,
+            "prepare": prepare,
+            "start": self.start_ms,
+            "wait_done": self.done_finalize_ms,
+            "retrieve": self.retrieve_ms * len(job.readout_modules()),
+            "final_stop": self.stop_ms,
+        }
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -140,9 +168,7 @@ class ClusterState:
     """Shared sequencer state. All mutation happens under one lock; the
     running -> done edge is evaluated lazily against the run clock."""
 
-    def __init__(self, topology: Topology, profile: LatencyProfile):
-        self.topology = topology
-        self.profile = profile
+    def __init__(self, topology: Topology):
         self.lock = threading.Lock()
         self.prepare_gate = threading.Lock()  # serializes the serial component
         self.seqs: dict[tuple[str, int], _Sequencer] = {}
@@ -183,7 +209,7 @@ class ClusterService:
     ):
         self.profile = profile if profile is not None else LatencyProfile()
         self.topology = topology if topology is not None else Topology()
-        self.state = ClusterState(self.topology, self.profile)
+        self.state = ClusterState(self.topology)
         seed = noise_seed if noise_seed is not None else time.time_ns()
         self._noise = np.random.Generator(np.random.Philox(key=mix_seed(seed, 0xAC)))
         self._noise_lock = threading.Lock()
@@ -224,10 +250,7 @@ class ClusterService:
 
         with self.state.prepare_gate:
             time.sleep(self.profile.prepare_serial_ms * 1e-3)
-        time.sleep(
-            self.profile.prepare_concurrent_ms * 1e-3
-            + len(program) * self.profile.prepare_per_byte_ns * 1e-9
-        )
+        time.sleep((self.profile.prepare_ms(len(program)) - self.profile.prepare_serial_ms) * 1e-3)
 
         with self.state.lock:
             seq = self.state.seqs[key]

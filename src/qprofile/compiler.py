@@ -101,8 +101,6 @@ class CompiledJob:
     circuit_seconds: float
     schedule_seconds: float
     files: tuple[ProgramFile, ...]
-    waveforms: dict[str, list[float]]
-    assignment: dict[int, dict[str, tuple[str, int]]]
 
     @property
     def control_programs(self) -> dict[int, str]:
@@ -166,15 +164,6 @@ def default_device_map(n: int, sequencers_per_module: int = 6) -> dict:
         m, s = divmod(q, sequencers_per_module)
         out[q] = {"control": (f"cm{m}", s), "readout": (f"rm{m}", s)}
     return out
-
-
-def schedule_duration(c: Circuit, shots: int, reset: str, t: TimingModel) -> float:
-    """Nominal schedule wall time: shots x (reset + one circuit pass)."""
-    if shots <= 0:
-        raise CompileError(f"shots must be positive, got {shots}")
-    from .circuit import circuit_duration
-
-    return shots * (t.reset_duration(reset) + circuit_duration(c, t))
 
 
 def _ns(seconds: float) -> int:
@@ -298,7 +287,6 @@ def compile(
     measured = set(c.measured_qubits())
 
     files: list[ProgramFile] = []
-    waveforms: dict[str, list[float]] = {}
     for q in range(c.n):
         roles = ["control"] + (["readout"] if q in measured else [])
         for role in roles:
@@ -307,8 +295,6 @@ def compile(
             files.append(
                 ProgramFile(qubit=q, role=role, module=module, sequencer=seq, text=text)
             )
-            table = json.loads(text.split("\n", 2)[1])
-            waveforms.update(table)
 
     return CompiledJob(
         n=c.n,
@@ -317,8 +303,6 @@ def compile(
         circuit_seconds=circuit_s,
         schedule_seconds=shots * (reset_s + circuit_s),
         files=tuple(files),
-        waveforms=waveforms,
-        assignment={q: dict(device[q]) for q in range(c.n)},
     )
 
 

@@ -9,9 +9,10 @@ physics, so the objective substitutes simulated shots with per-iteration
 seeds). Wall-clock phase timings come from the protocol exchange itself.
 
 timing_mode "virtual" keeps the whole protocol exchange but records the
-profile's nominal latencies instead of measured wall time and zeroes the
-host-side compile/optimizer phases, making reports bit-reproducible; it is
-meant for regression tests, not measurement.
+profile's nominal latencies (LatencyProfile.phase_ms, prepare following the
+prepare mode) instead of measured wall time and zeroes the host-side
+compile/optimizer phases, making reports bit-reproducible; it is meant for
+regression tests, not measurement.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import time
 from dataclasses import dataclass, replace
 
 from .circuit import QaoaParams, build_qaoa, simplify
-from .client import ClusterClient, IterationTimings
+from .client import ClusterClient
 from .cluster import ClusterService, LatencyProfile, Topology
-from .compiler import CompiledJob, compile
+from .compiler import compile
 from .optimizer import OptimizerConfig, minimize, qaoa_objective
 from .problem import MIN_REGULAR_QUBITS, ProblemGraph, cut_value, generate_instance
 from .profiler import AggregateReport, PhaseRecord, aggregate, extrapolate, record_iteration
@@ -136,6 +137,8 @@ class CellResult:
     report: AggregateReport
     records: tuple[PhaseRecord, ...]
     summaries: tuple[RunSummary, ...]
+    # LatencyProfile.phase_ms of the jobs behind the records, averaged
+    nominal_ms: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -147,32 +150,6 @@ class BenchmarkResult:
         return self.cells[n].report
 
 
-def _nominal_timings(config: BenchmarkConfig, job: CompiledJob) -> IterationTimings:
-    """Profile-implied phase durations for one iteration (virtual mode).
-
-    Prepare uses the sequential formula regardless of prepare mode; virtual
-    reports are reference points, not concurrency measurements.
-    """
-    p = config.profile
-    stop_s = p.stop_ms / 1e3
-    prepare_s = sum(p.prepare_ms(f.size_bytes()) for f in job.files) / 1e3
-    start_s = p.start_ms / 1e3
-    wait_wall_s = job.schedule_seconds * config.dilation + p.done_finalize_ms / 1e3
-    retrieve_s = p.retrieve_ms * len(job.readout_modules()) / 1e3
-    return IterationTimings(
-        stop_s=stop_s,
-        prepare_s=prepare_s,
-        start_s=start_s,
-        wait_done_wall_s=wait_wall_s,
-        retrieve_s=retrieve_s,
-        final_stop_s=stop_s,
-        wall_total_s=stop_s * 2 + prepare_s + start_s + wait_wall_s + retrieve_s,
-        schedule_nominal_s=job.schedule_seconds,
-        prepare_mode=config.prepare,
-        reset_mode=config.reset,
-    )
-
-
 def _one_run(
     config: BenchmarkConfig,
     g: ProblemGraph,
@@ -180,8 +157,9 @@ def _one_run(
     n: int,
     run_idx: int,
     opt_cfg: OptimizerConfig,
-) -> tuple[list[PhaseRecord], RunSummary]:
+) -> tuple[list[PhaseRecord], list[dict], RunSummary]:
     records: list[PhaseRecord] = []
+    nominals: list[dict] = []
     best_cut = 0.0
     last_exit: list[float | None] = [None]
     iteration = [0]
@@ -197,13 +175,25 @@ def _one_run(
         job = compile(circ, config.shots, config.reset)
         compile_ms = (time.perf_counter() - t0) * 1e3
 
-        _acq, measured = client.run_iteration(job, prepare_mode=config.prepare)
+        _acq, timings = client.run_iteration(job, prepare_mode=config.prepare)
+        nominal_ms = config.profile.phase_ms(job, config.prepare)
+        nominals.append(nominal_ms)
         if config.timing_mode == "virtual":
-            timings = _nominal_timings(config, job)
+            s = {phase: ms / 1e3 for phase, ms in nominal_ms.items()}
+            # the client times its wait for done including the slept schedule
+            s["wait_done"] += job.schedule_seconds * config.dilation
+            timings = replace(
+                timings,
+                stop_s=s["stop"],
+                prepare_s=s["prepare"],
+                start_s=s["start"],
+                wait_done_wall_s=s["wait_done"],
+                retrieve_s=s["retrieve"],
+                final_stop_s=s["final_stop"],
+                wall_total_s=sum(s.values()),
+            )
             compile_ms = 0.0
             optimizer_ms = 0.0
-        else:
-            timings = measured
 
         shot_seed = mix_seed(config.seed, n, run_idx, iteration[0])
         counts = sample(simulate(circ), config.shots, shot_seed)
@@ -239,7 +229,7 @@ def _one_run(
         best_params=trace.best_params,
         best_observed_cut=best_cut,
     )
-    return records, summary
+    return records, nominals, summary
 
 
 def _run_cells(config: BenchmarkConfig, host: str, port: int) -> BenchmarkResult:
@@ -248,11 +238,14 @@ def _run_cells(config: BenchmarkConfig, host: str, port: int) -> BenchmarkResult
         g = generate_instance(n, mix_seed(config.seed, n))
         opt_cfg = config.optimizer_for(n)
         records: list[PhaseRecord] = []
+        nominals: list[dict] = []
         summaries: list[RunSummary] = []
         with ClusterClient(host, port) as client:
             for run_idx in range(config.runs):
                 try:
-                    run_records, summary = _one_run(config, g, client, n, run_idx, opt_cfg)
+                    run_records, run_nominals, summary = _one_run(
+                        config, g, client, n, run_idx, opt_cfg
+                    )
                 except Exception as exc:  # isolate per-run failures
                     summaries.append(
                         RunSummary(
@@ -268,13 +261,20 @@ def _run_cells(config: BenchmarkConfig, host: str, port: int) -> BenchmarkResult
                     )
                     continue
                 records.extend(run_records)
+                nominals.extend(run_nominals)
                 summaries.append(summary)
         if not records:
             errors = "; ".join(s.error or "?" for s in summaries)
             raise BenchmarkError(f"all {config.runs} runs failed for {n} qubits: {errors}")
         report = aggregate(records, config.meta())
         cells[n] = CellResult(
-            report=report, records=tuple(records), summaries=tuple(summaries)
+            report=report,
+            records=tuple(records),
+            summaries=tuple(summaries),
+            nominal_ms={
+                phase: math.fsum(nm[phase] for nm in nominals) / len(nominals)
+                for phase in nominals[0]
+            },
         )
     return BenchmarkResult(config=config, cells=cells)
 
@@ -366,19 +366,11 @@ def run_swap_study(
 
 
 def load_swap_fit(path: str) -> PowerLawFit:
-    """Rebuild a PowerLawFit from a swap-study CSV (or a JSON dump)."""
+    """Rebuild a PowerLawFit from a swap-study CSV."""
     from .router import fit_power_law
 
     with open(path) as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
-        raw = json.loads(text)
-        return PowerLawFit(
-            a=float(raw["a"]),
-            b=float(raw["b"]),
-            residual=float(raw["residual"]),
-            points=tuple((int(n), float(m), float(s)) for n, m, s in raw.get("points", [])),
-        )
     points = []
     for line in text.splitlines()[1:]:
         if not line.strip():

@@ -1,0 +1,30 @@
+"""The benchmark in bench/ wraps module attributes of the program. This test
+installs its wrappers and puts the originals back, so a refactor that removes
+or renames one of those attributes fails here rather than in a benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def test_benchmark_wrappers_install_and_restore(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    patcher = spans.Patcher()
+    tracer = spans.Tracer()
+    try:
+        workloads.Recorder(patcher, tracer)
+        workloads.install_tracing(patcher, tracer, workloads.LayerCounts())
+        originals: dict = {}
+        for owner, attr, original in patcher._saved:  # an attribute may be wrapped twice
+            originals.setdefault((owner, attr), original)
+    finally:
+        patcher.restore()
+    assert originals
+    for (owner, attr), original in originals.items():
+        assert getattr(owner, attr) is original, f"{owner!r}.{attr} not restored"

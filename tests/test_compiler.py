@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from qprofile.circuit import QaoaParams, build_qaoa
+from qprofile.circuit import QaoaParams, build_qaoa, circuit_duration
 from qprofile.compiler import (
     CompileError,
     compile,
     default_device_map,
     measure_job_size,
-    schedule_duration,
 )
 from qprofile.problem import generate_instance
 from qprofile.timing import TimingModel
@@ -64,7 +63,7 @@ def test_reset_mode_changes_the_schedule_length():
     assert passive.schedule_seconds == pytest.approx(1000 * (t.passive_reset + passive.circuit_seconds))
     assert active.schedule_seconds == pytest.approx(1000 * (t.active_reset + active.circuit_seconds))
     assert passive.schedule_seconds > active.schedule_seconds
-    assert schedule_duration(c, 1000, "passive", t) == pytest.approx(passive.schedule_seconds)
+    assert passive.circuit_seconds == pytest.approx(circuit_duration(c, t))
 
 
 def test_reference_schedule_length(k4_job):

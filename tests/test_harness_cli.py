@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import os
 import pytest
 
 from qprofile.circuit import QaoaParams, build_qaoa
-from qprofile.cli import main, parse_cluster, parse_qubits
+from qprofile.cli import _check_latencies, main, parse_cluster, parse_qubits
 from qprofile.cluster import ClusterService, LatencyProfile, Topology
 from qprofile.harness import (
     BenchmarkConfig,
@@ -116,6 +117,72 @@ def test_virtual_phase_means_match_the_profile_nominals():
     assert report.phase_mean("optimizer") == 0.0
 
 
+def _acceptance_cell(reset: str, prepare: str) -> BenchmarkConfig:
+    """The 4-qubit cell of the acceptance criteria, with a short optimizer."""
+    return BenchmarkConfig(
+        qubits=(4,),
+        shots=1000,
+        runs=1,
+        reset=reset,
+        prepare=prepare,
+        seed=0,
+        p=2,
+        timing_mode="virtual",
+        optimizer=OptimizerConfig(
+            bounds=((0.0, TWO_PI),) * 4, sample_budget=4, local_budget=2, starts=1
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "reset, prepare, reference_ms",
+    [("passive", "sequential", 207.2), ("active", "parallel", 73.9)],
+    ids=["criterion-1-cell", "criterion-4-cell"],
+)
+def test_virtual_prepare_follows_the_prepare_mode(reset, prepare, reference_ms):
+    # reference_ms is the acceptance reference for the cell's prepare mean
+    cell = run_benchmark(_acceptance_cell(reset, prepare)).cells[4]
+    assert cell.report.phase_mean("prepare") == pytest.approx(reference_ms, rel=1e-3)
+    assert cell.nominal_ms["prepare"] == pytest.approx(reference_ms, rel=1e-3)
+
+
+def test_check_names_prepare_when_only_prepare_drifts():
+    # the server prepares each file in 3 ms where the checked profile says 9 ms;
+    # every other phase is served at its checked nominal
+    checked = LatencyProfile(
+        stop_ms=50.0,
+        start_ms=50.0,
+        retrieve_ms=50.0,
+        prepare_serial_ms=1.0,
+        prepare_concurrent_ms=8.0,
+        prepare_per_byte_ns=0.0,
+        done_finalize_ms=60.0,
+        dilation=0.0,
+    )
+    service = ClusterService(
+        dataclasses.replace(checked, prepare_concurrent_ms=2.0), Topology(), noise_seed=5
+    )
+    host, port = service.start()
+    try:
+        result = run_benchmark(
+            _virtual_config(
+                runs=1,
+                timing_mode="real",
+                dilation=0.0,
+                profile=checked,
+                host=host,
+                port=port,
+                optimizer=OptimizerConfig(
+                    bounds=((0.0, TWO_PI),) * 2, sample_budget=2, local_budget=1, starts=1
+                ),
+            )
+        )
+    finally:
+        service.shutdown()
+    failures = _check_latencies(result)
+    assert [line.split(":")[0] for line in failures] == ["3q prepare"], failures
+
+
 def test_outputs_round_trip(tmp_path):
     result = run_benchmark(_virtual_config(runs=1, out_dir=str(tmp_path)))
     for name in ("report_3q.json", "report_3q.csv", "records_3q.jsonl", "summary.json"):
@@ -174,14 +241,6 @@ def test_default_swap_fit_predicts_held_out_routing():
     assert abs(predicted - held_out) <= 0.25 * held_out, (predicted, held_out)
 
 
-def test_swap_fit_loads_from_json_too(tmp_path):
-    path = tmp_path / "fit.json"
-    path.write_text(json.dumps({"a": 0.5, "b": 1.8, "residual": 0.01, "points": [[4, 4.0, 0.0]]}))
-    fit = load_swap_fit(str(path))
-    assert fit.a == 0.5 and fit.b == 1.8
-    assert fit.points == ((4, 4.0, 0.0),)
-
-
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -232,6 +291,12 @@ def test_cli_run_writes_reports(tmp_path, capsys):
 
 def test_cli_run_check_passes_in_accounting_mode(tmp_path, capsys):
     code = main(_run_args(str(tmp_path), "--check"))
+    assert code == 0
+    assert "latency check passed" in capsys.readouterr().out
+
+
+def test_cli_run_check_passes_for_virtual_parallel_prepare(tmp_path, capsys):
+    code = main(_run_args(str(tmp_path), "--prepare", "parallel", "--check"))
     assert code == 0
     assert "latency check passed" in capsys.readouterr().out
 

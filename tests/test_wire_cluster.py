@@ -102,6 +102,22 @@ def test_latency_profile_defaults_and_prepare_formula():
     assert round_trip == p
 
 
+def test_phase_nominals_follow_the_job_and_the_prepare_mode(k4_job):
+    p = LatencyProfile()
+    sizes = [f.size_bytes() for f in k4_job.files]
+    sequential = p.phase_ms(k4_job, "sequential")
+    parallel = p.phase_ms(k4_job, "parallel")
+    assert sequential["prepare"] == pytest.approx(sum(p.prepare_ms(b) for b in sizes))
+    assert parallel["prepare"] == pytest.approx(8 * 6.86 + 19.04 + max(sizes) * 8e-6)
+    for nominals in (sequential, parallel):
+        assert nominals["stop"] == nominals["final_stop"] == 19.5
+        assert nominals["start"] == 57.11
+        assert nominals["wait_done"] == 56.3
+        assert nominals["retrieve"] == 58.9  # one readout module
+    with pytest.raises(ValueError):
+        p.phase_ms(k4_job, "burst")
+
+
 def test_topology_module_ids_and_sizing():
     t = Topology()
     assert t.module_ids() == ("cm0", "cm1", "cm2", "rm0", "rm1", "rm2")
