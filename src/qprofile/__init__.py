@@ -7,106 +7,51 @@ timing), the cluster service and its client (wire, cluster, client), and
 the measurement layer (profiler, harness, cli).
 """
 
-from .circuit import Circuit, Gate, QaoaParams, build_qaoa, circuit_duration, simplify
+from .circuit import QaoaParams, build_qaoa, simplify
 from .client import AcquisitionData, ClusterClient, IterationTimings, ProtocolError, TransportError
-from .cluster import ClusterService, LatencyProfile, Topology, load_cluster_config
-from .compiler import CompiledJob, CompileError, ProgramFile, compile, measure_job_size
-from .harness import (
-    BenchmarkConfig,
-    BenchmarkError,
-    BenchmarkResult,
-    RunSummary,
-    run_benchmark,
-    run_extrapolation,
-    run_swap_study,
-)
-from .optimizer import OptimizationTrace, OptimizerConfig, minimize, qaoa_objective
-from .problem import (
-    InvalidInstanceError,
-    ProblemGraph,
-    ShotCounts,
-    brute_force_max_cut,
-    cut_value,
-    expected_cut,
-    generate_instance,
-)
-from .profiler import (
-    AggregateReport,
-    ExtrapolationTable,
-    LinearFit,
-    PhaseRecord,
-    aggregate,
-    compute_speedup,
-    extrapolate,
-    fit_linear,
-    record_iteration,
-    schedule_speedup,
-)
-from .router import PowerLawFit, RouteResult, grid_layout, route, swap_scaling_experiment
-from .statevector import StateVector, sample, simulate
-from .timing import DEFAULT_TIMING, TimingModel
+from .cluster import ClusterService, LatencyProfile, Topology
+from .compiler import compile
+from .harness import BenchmarkConfig, BenchmarkError, run_benchmark, run_swap_study
+from .optimizer import qaoa_objective
+from .problem import ShotCounts, cut_value, generate_instance
+from .profiler import aggregate, compute_speedup, extrapolate, record_iteration
+from .router import RouteResult, grid_layout, route
+from .statevector import sample, simulate
+from .timing import TimingModel
 from .util import mix_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AcquisitionData",
-    "AggregateReport",
     "BenchmarkConfig",
     "BenchmarkError",
-    "BenchmarkResult",
-    "Circuit",
     "ClusterClient",
     "ClusterService",
-    "CompileError",
-    "CompiledJob",
-    "DEFAULT_TIMING",
-    "ExtrapolationTable",
-    "Gate",
-    "InvalidInstanceError",
     "IterationTimings",
     "LatencyProfile",
-    "LinearFit",
-    "OptimizationTrace",
-    "OptimizerConfig",
-    "PhaseRecord",
-    "PowerLawFit",
-    "ProblemGraph",
-    "ProgramFile",
     "ProtocolError",
     "QaoaParams",
     "RouteResult",
-    "RunSummary",
     "ShotCounts",
-    "StateVector",
     "TimingModel",
     "Topology",
     "TransportError",
     "aggregate",
-    "brute_force_max_cut",
     "build_qaoa",
-    "circuit_duration",
     "compile",
     "compute_speedup",
     "cut_value",
-    "expected_cut",
     "extrapolate",
-    "fit_linear",
     "generate_instance",
     "grid_layout",
-    "load_cluster_config",
-    "measure_job_size",
-    "minimize",
     "mix_seed",
     "qaoa_objective",
     "record_iteration",
     "route",
     "run_benchmark",
-    "run_extrapolation",
     "run_swap_study",
     "sample",
-    "schedule_speedup",
     "simplify",
     "simulate",
-    "swap_scaling_experiment",
 ]

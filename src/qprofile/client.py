@@ -1,10 +1,11 @@
 """Host-side driver for the cluster service.
 
 Runs the per-iteration command sequence stop -> prepare -> start ->
-wait-done -> retrieve -> stop against one cluster, timing every phase with
-the monotonic clock. Program uploads go either sequentially over the main
-connection or in parallel with one dedicated connection per upload stream
-(connections are reused across iterations).
+wait-done -> retrieve -> stop against one cluster. The clock is read once at
+each phase boundary, so the six phases are contiguous and sum to the
+iteration's measured wall time. Program uploads go either sequentially over
+the main connection or in parallel with one dedicated connection per upload
+stream (connections are reused across iterations).
 """
 
 from __future__ import annotations
@@ -48,7 +49,11 @@ class AcquisitionData:
 
 @dataclass(frozen=True)
 class IterationTimings:
-    """Wall durations of one iteration's phases, in seconds."""
+    """Wall durations of one iteration's six contiguous phases, in seconds.
+
+    wall_total_s is the sum of the six phases: the iteration's measured wall
+    time, from before the first stop to after the final stop.
+    """
 
     stop_s: float
     prepare_s: float
@@ -60,6 +65,24 @@ class IterationTimings:
     schedule_nominal_s: float
     prepare_mode: str
     reset_mode: str
+
+    @classmethod
+    def from_phases(cls, phases_s, job: CompiledJob, prepare_mode: str) -> "IterationTimings":
+        """Timings from the six phase durations in iteration order (stop,
+        prepare, start, wait_done, retrieve, final_stop), summed left to right."""
+        stop, prepare, start, wait_done, retrieve, final_stop = phases_s
+        return cls(
+            stop_s=stop,
+            prepare_s=prepare,
+            start_s=start,
+            wait_done_wall_s=wait_done,
+            retrieve_s=retrieve,
+            final_stop_s=final_stop,
+            wall_total_s=sum(phases_s),
+            schedule_nominal_s=job.schedule_seconds,
+            prepare_mode=prepare_mode,
+            reset_mode=job.reset,
+        )
 
 
 class ClusterConnection:
@@ -153,7 +176,7 @@ class ClusterClient:
         files = job.files
         workers = min(len(files), MAX_PARALLEL_STREAMS)
         for i in range(workers):
-            self._stream(i)  # connect outside the timed window
+            self._stream(i)  # connect outside the window timed here
         if self._pool_size < workers:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
@@ -184,14 +207,13 @@ class ClusterClient:
 
     # -- full iteration -----------------------------------------------------
 
-    def wait_done(self, schedule_nominal_s: float) -> float:
+    def wait_done(self, schedule_nominal_s: float) -> None:
         """Poll status at 1 ms until the cluster reports done."""
         deadline = time.perf_counter() + self.wait_timeout_s + schedule_nominal_s
-        t0 = time.perf_counter()
         while True:
             state = self.status()["state"]
             if state == "done":
-                return time.perf_counter() - t0
+                return
             if state in ("idle", "armed"):
                 raise ProtocolError("bad_state", f"cluster went {state} while waiting")
             if time.perf_counter() > deadline:
@@ -214,44 +236,30 @@ class ClusterClient:
         return AcquisitionData(shots=shots, bits=bits, raw=raw, replies=tuple(replies))
 
     def run_iteration(self, job: CompiledJob, prepare_mode: str = "sequential"):
-        """One full cycle. Returns (AcquisitionData, IterationTimings)."""
-        t_iter = time.perf_counter()
+        """One full cycle. Returns (AcquisitionData, IterationTimings).
+
+        Each phase runs from one clock stamp to the next. The first parallel
+        prepare therefore includes opening the upload streams.
+        """
         try:
-            t0 = time.perf_counter()
+            stamps = [time.perf_counter()]
             self.stop()
-            stop_s = time.perf_counter() - t0
-
-            prepare_s = self.prepare(job, prepare_mode)
-
-            t0 = time.perf_counter()
+            stamps.append(time.perf_counter())
+            self.prepare(job, prepare_mode)
+            stamps.append(time.perf_counter())
             self.start()
-            start_s = time.perf_counter() - t0
-
-            wait_s = self.wait_done(job.schedule_seconds)
-
-            t0 = time.perf_counter()
+            stamps.append(time.perf_counter())
+            self.wait_done(job.schedule_seconds)
+            stamps.append(time.perf_counter())
             acquisition = self.retrieve_all(job)
-            retrieve_s = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
+            stamps.append(time.perf_counter())
             self.stop()
-            final_stop_s = time.perf_counter() - t0
+            stamps.append(time.perf_counter())
         except (TransportError, ProtocolError):
             self._best_effort_stop()
             raise
-        timings = IterationTimings(
-            stop_s=stop_s,
-            prepare_s=prepare_s,
-            start_s=start_s,
-            wait_done_wall_s=wait_s,
-            retrieve_s=retrieve_s,
-            final_stop_s=final_stop_s,
-            wall_total_s=time.perf_counter() - t_iter,
-            schedule_nominal_s=job.schedule_seconds,
-            prepare_mode=prepare_mode,
-            reset_mode=job.reset,
-        )
-        return acquisition, timings
+        phases_s = [b - a for a, b in zip(stamps, stamps[1:])]
+        return acquisition, IterationTimings.from_phases(phases_s, job, prepare_mode)
 
     # -- lifecycle ----------------------------------------------------------
 

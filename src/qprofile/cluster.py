@@ -86,7 +86,8 @@ class LatencyProfile:
         )
 
     def phase_ms(self, job: CompiledJob, prepare_mode: str) -> dict[str, float]:
-        """Nominal instrument time, in ms, of each phase of one iteration of job.
+        """Nominal instrument time, in ms, of each phase of one iteration of
+        job, keyed in iteration order.
 
         Sequential prepare is the sum of prepare_ms over the job's files.
         Parallel prepare gates only the serial component: files x
@@ -156,11 +157,10 @@ def load_cluster_config(path: str) -> tuple[LatencyProfile, Topology]:
 
 
 class _Sequencer:
-    __slots__ = ("status", "program", "meta")
+    __slots__ = ("status", "meta")
 
     def __init__(self):
         self.status = "idle"
-        self.program = b""
         self.meta: dict = {}
 
 
@@ -175,9 +175,7 @@ class ClusterState:
         for m in topology.module_ids():
             for s in range(topology.sequencers_per_module):
                 self.seqs[(m, s)] = _Sequencer()
-        self.started_at: float | None = None
         self.done_at: float | None = None
-        self.schedule_s = 0.0
         self.start_pending = False
 
     def has_module(self, module: str) -> bool:
@@ -223,9 +221,7 @@ class ClusterService:
         with self.state.lock:
             for seq in self.state.seqs.values():
                 seq.status = "idle"
-            self.state.started_at = None
             self.state.done_at = None
-            self.state.schedule_s = 0.0
             self.state.start_pending = False
         return {"ok": True, "state": "idle"}
 
@@ -257,9 +253,8 @@ class ClusterService:
             if seq.status != "idle":
                 return _err("bad_state", f"sequencer {key} is {seq.status}, not idle")
             seq.status = "armed"
-            seq.program = program
             seq.meta = dict(meta)
-        return {"ok": True, "module": module, "seq": seq_id, "bytes": len(program)}
+        return {"ok": True}
 
     def handle_start(self) -> dict:
         with self.state.lock:
@@ -276,32 +271,18 @@ class ClusterService:
             if not armed:  # a stop raced the start sleep
                 return _err("bad_state", "schedule was stopped before start completed")
             schedule_s = max(float(s.meta.get("schedule_s", 0.0)) for s in armed)
-            now = time.monotonic()
             for s in armed:
                 s.status = "running"
-            self.state.started_at = now
-            self.state.schedule_s = schedule_s
             self.state.done_at = (
-                now
+                time.monotonic()
                 + schedule_s * self.profile.dilation
                 + self.profile.done_finalize_ms * 1e-3
             )
-        return {"ok": True, "state": "running", "schedule_s": schedule_s}
+        return {"ok": True, "state": "running"}
 
     def handle_status(self) -> dict:
         with self.state.lock:
-            phase = self.state.phase_locked()
-            elapsed = (
-                time.monotonic() - self.state.started_at
-                if self.state.started_at is not None
-                else 0.0
-            )
-            return {
-                "ok": True,
-                "state": phase,
-                "elapsed_s": elapsed,
-                "schedule_s": self.state.schedule_s,
-            }
+            return {"ok": True, "state": self.state.phase_locked()}
 
     def handle_retrieve(self, module: str) -> dict:
         if not isinstance(module, str) or not self.state.has_module(module):

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .circuit import QaoaParams, build_qaoa, simplify
-from .client import ClusterClient
+from .client import ClusterClient, IterationTimings
 from .cluster import ClusterService, LatencyProfile, Topology
 from .compiler import compile
 from .optimizer import OptimizerConfig, minimize, qaoa_objective
@@ -170,10 +170,9 @@ def _one_run(
         optimizer_ms = 0.0 if last_exit[0] is None else (entered - last_exit[0]) * 1e3
 
         params = QaoaParams.from_flat(tuple(float(v) for v in x))
-        t0 = time.perf_counter()
         circ = simplify(build_qaoa(g, params))
         job = compile(circ, config.shots, config.reset)
-        compile_ms = (time.perf_counter() - t0) * 1e3
+        compile_ms = (time.perf_counter() - entered) * 1e3
 
         _acq, timings = client.run_iteration(job, prepare_mode=config.prepare)
         nominal_ms = config.profile.phase_ms(job, config.prepare)
@@ -182,16 +181,7 @@ def _one_run(
             s = {phase: ms / 1e3 for phase, ms in nominal_ms.items()}
             # the client times its wait for done including the slept schedule
             s["wait_done"] += job.schedule_seconds * config.dilation
-            timings = replace(
-                timings,
-                stop_s=s["stop"],
-                prepare_s=s["prepare"],
-                start_s=s["start"],
-                wait_done_wall_s=s["wait_done"],
-                retrieve_s=s["retrieve"],
-                final_stop_s=s["final_stop"],
-                wall_total_s=sum(s.values()),
-            )
+            timings = IterationTimings.from_phases(s.values(), job, config.prepare)
             compile_ms = 0.0
             optimizer_ms = 0.0
 

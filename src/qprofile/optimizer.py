@@ -11,7 +11,6 @@ the tolerance across a window of consecutive simplex iterations.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    evaluations: tuple[tuple[tuple[float, ...], float, float], ...]  # (params, value, seconds)
+    evaluations: tuple[tuple[tuple[float, ...], float], ...]  # (params, value)
     best_params: tuple[float, ...]
     best_value: float
     iterations: int  # simplex refinement iterations
@@ -61,18 +60,16 @@ class _Recorder:
 
     def __init__(self, objective):
         self._objective = objective
-        self.evaluations: list[tuple[tuple[float, ...], float, float]] = []
+        self.evaluations: list[tuple[tuple[float, ...], float]] = []
         self.best_params: tuple[float, ...] | None = None
         self.best_value = math.inf
 
     def __call__(self, x: np.ndarray) -> float:
-        t0 = time.perf_counter()
         params = tuple(float(v) for v in x)
         value = float(self._objective(params))
-        elapsed = time.perf_counter() - t0
         if not math.isfinite(value):
             raise OptimizerError(f"objective returned {value} at {params}")
-        self.evaluations.append((params, value, elapsed))
+        self.evaluations.append((params, value))
         if value < self.best_value:
             self.best_value = value
             self.best_params = params

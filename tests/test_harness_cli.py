@@ -96,13 +96,20 @@ def test_virtual_runs_are_bit_reproducible(tmp_path):
     assert summary_a["runs"] == summary_b["runs"]
 
 
-def test_virtual_total_equals_the_sum_of_its_phases():
-    result = run_benchmark(_virtual_config(runs=1))
-    report = result.report(3)
-    component_sum = sum(
-        report.phase_mean(name) for name in PHASE_ORDER if name != "total"
-    )
-    assert report.phase_mean("total") == pytest.approx(component_sum, rel=1e-9)
+# measured phases against a cluster that never sleeps, so a gap would show
+ZERO_LATENCY = dict(timing_mode="real", profile=LatencyProfile.zeroed(), dilation=0.0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {**ZERO_LATENCY, "prepare": "sequential"}, {**ZERO_LATENCY, "prepare": "parallel"}],
+    ids=["virtual", "real-sequential", "real-parallel"],
+)
+def test_total_equals_the_sum_of_its_phases(overrides):
+    cell = run_benchmark(_virtual_config(runs=1, **overrides)).cells[3]
+    for phase in [cell.report.phase_mean, *(rec.phase for rec in cell.records)]:
+        component_sum = sum(phase(name) for name in PHASE_ORDER if name != "total")
+        assert phase("total") == pytest.approx(component_sum, rel=1e-9)
 
 
 def test_virtual_phase_means_match_the_profile_nominals():
