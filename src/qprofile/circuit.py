@@ -7,9 +7,8 @@ their qubits are free; each moment costs the duration of its slowest gate.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .problem import ProblemGraph
 from .timing import TimingModel
@@ -17,7 +16,6 @@ from .timing import TimingModel
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
 
-GATE_KINDS = ("H", "RX", "RZ", "CNOT", "MEASURE")
 _ARITY = {"H": 1, "RX": 1, "RZ": 1, "CNOT": 2, "MEASURE": 1}
 _TAKES_ANGLE = {"RX", "RZ"}
 
@@ -95,23 +93,6 @@ class Circuit:
 
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(g.qubits[0] for g in self.gates if g.kind == "MEASURE")
-
-    def to_json(self) -> str:
-        rows = []
-        for g in self.gates:
-            row: dict = {"g": g.kind, "q": list(g.qubits)}
-            if g.theta is not None:
-                row["theta"] = g.theta
-            rows.append(row)
-        return json.dumps({"n": self.n, "gates": rows}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        raw = json.loads(text)
-        gates = tuple(
-            Gate(r["g"], tuple(r["q"]), r.get("theta")) for r in raw["gates"]
-        )
-        return cls(n=int(raw["n"]), gates=gates)
 
 
 @dataclass(frozen=True)

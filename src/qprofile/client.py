@@ -21,6 +21,8 @@ from . import wire
 from .compiler import CompiledJob, ProgramFile
 
 POLL_INTERVAL_S = 0.001
+# wait_done gives up this long after the schedule's nominal duration
+WAIT_TIMEOUT_S = 120.0
 MAX_PARALLEL_STREAMS = 32
 
 
@@ -125,7 +127,6 @@ def _prepare_request(f: ProgramFile, job: CompiledJob) -> dict:
         "program": base64.b64encode(f.text.encode("utf-8")).decode("ascii"),
         "meta": {
             "qubit": f.qubit,
-            "role": f.role,
             "shots": job.shots,
             "schedule_s": job.schedule_seconds,
         },
@@ -135,10 +136,9 @@ def _prepare_request(f: ProgramFile, job: CompiledJob) -> dict:
 class ClusterClient:
     """Drives one cluster endpoint through benchmark iterations."""
 
-    def __init__(self, host: str, port: int, wait_timeout_s: float = 120.0):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.wait_timeout_s = wait_timeout_s
         self._main = ClusterConnection(host, port)
         self._streams: list[ClusterConnection] = []
         self._pool: ThreadPoolExecutor | None = None
@@ -209,7 +209,7 @@ class ClusterClient:
 
     def wait_done(self, schedule_nominal_s: float) -> None:
         """Poll status at 1 ms until the cluster reports done."""
-        deadline = time.perf_counter() + self.wait_timeout_s + schedule_nominal_s
+        deadline = time.perf_counter() + WAIT_TIMEOUT_S + schedule_nominal_s
         while True:
             state = self.status()["state"]
             if state == "done":

@@ -9,14 +9,16 @@ realistic stack behavior without hardware.
 Commands:
 
     {"cmd": "stop"}
-    {"cmd": "prepare", "module": M, "seq": S, "program": <base64>, "meta": {...}}
+    {"cmd": "prepare", "module": M, "seq": S, "program": <base64>,
+     "meta": {"qubit": Q, "shots": N, "schedule_s": T}}
     {"cmd": "start"}
     {"cmd": "status"}
     {"cmd": "retrieve", "module": M}
 
 Replies are {"ok": true, ...} or {"ok": false, "error": code, "msg": ...}
-with error codes bad_frame, bad_state, unknown_target. Malformed JSON in a
-well-delimited frame gets a bad_frame reply and the connection stays open.
+with error codes bad_frame, bad_state, unknown_target. A prepare with an
+invalid meta, like malformed JSON in a well-delimited frame, gets a
+bad_frame reply; the sequencer stays idle and the connection stays open.
 """
 
 from __future__ import annotations
@@ -24,17 +26,18 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 import signal
 import socket
 import socketserver
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import wire
-from .compiler import CompiledJob
+from .compiler import SEQUENCERS_PER_MODULE, CompiledJob
 from .util import mix_seed
 
 SEQUENCER_STATES = ("idle", "armed", "running", "done")
@@ -113,19 +116,14 @@ class LatencyProfile:
             "final_stop": self.stop_ms,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "LatencyProfile":
-        return cls(**raw)
-
 
 @dataclass(frozen=True)
 class Topology:
+    """The served modules; they must hold every sequencer compile places on."""
+
     control_modules: int = 3
     readout_modules: int = 3
-    sequencers_per_module: int = 6
+    sequencers_per_module: int = SEQUENCERS_PER_MODULE
 
     def __post_init__(self):
         if min(self.control_modules, self.readout_modules, self.sequencers_per_module) < 1:
@@ -138,22 +136,26 @@ class Topology:
         )
 
     @classmethod
-    def for_qubits(cls, n: int, sequencers_per_module: int = 6) -> "Topology":
-        modules = max(1, -(-n // sequencers_per_module))
-        return cls(
-            control_modules=modules,
-            readout_modules=modules,
-            sequencers_per_module=sequencers_per_module,
-        )
+    def for_qubits(cls, n: int) -> "Topology":
+        """The smallest topology holding compile's placement of n qubits."""
+        modules = max(1, -(-n // SEQUENCERS_PER_MODULE))
+        return cls(control_modules=modules, readout_modules=modules)
 
 
 def load_cluster_config(path: str) -> tuple[LatencyProfile, Topology]:
-    """Read {"latency": {...}, "topology": {...}} from a JSON file."""
+    """Read {"latency": {...}, "topology": {...}} from a JSON file. Raises
+    ValueError naming any key that LatencyProfile or Topology lacks."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    profile = LatencyProfile.from_dict(raw.get("latency", {}))
-    topology = Topology(**raw.get("topology", {}))
-    return profile, topology
+
+    def build(section: str, cls):
+        values = raw.get(section, {})
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {section} key(s) in {path}: {', '.join(unknown)}")
+        return cls(**values)
+
+    return build("latency", LatencyProfile), build("topology", Topology)
 
 
 class _Sequencer:
@@ -237,7 +239,9 @@ class ClusterService:
             program = base64.b64decode(program_b64.encode("ascii"), validate=True)
         except (binascii.Error, ValueError):
             return _err("bad_frame", "program is not valid base64")
-        meta = meta if isinstance(meta, dict) else {}
+        problem = _meta_problem(meta)
+        if problem:
+            return _err("bad_frame", problem)
 
         with self.state.lock:
             seq = self.state.seqs[key]
@@ -270,7 +274,7 @@ class ClusterService:
             armed = [s for s in self.state.seqs.values() if s.status == "armed"]
             if not armed:  # a stop raced the start sleep
                 return _err("bad_state", "schedule was stopped before start completed")
-            schedule_s = max(float(s.meta.get("schedule_s", 0.0)) for s in armed)
+            schedule_s = max(s.meta["schedule_s"] for s in armed)
             for s in armed:
                 s.status = "running"
             self.state.done_at = (
@@ -292,26 +296,22 @@ class ClusterService:
             phase = self.state.phase_locked()
             if phase != "done":
                 return _err("bad_state", f"cluster is {phase}, not done")
-            targets = [
-                (key, seq)
+            ran = [
+                seq.meta
                 for key, seq in sorted(self.state.seqs.items())
-                if key[0] == module and seq.meta
+                if key[0] == module and seq.status == "done"
             ]
             bits: dict[str, list[int]] = {}
             raw: dict[str, list[float]] = {}
             shots = 0
             with self._noise_lock:
-                for _, seq in targets:
-                    qubit = seq.meta.get("qubit")
-                    n_shots = int(seq.meta.get("shots", 0))
-                    if qubit is None or n_shots <= 0:
-                        continue
-                    shots = max(shots, n_shots)
-                    draw = self._noise.integers(0, 2, size=n_shots)
-                    bits[str(qubit)] = [int(b) for b in draw]
+                for meta in ran:
+                    shots = max(shots, meta["shots"])
+                    draw = self._noise.integers(0, 2, size=meta["shots"])
+                    bits[str(meta["qubit"])] = [int(b) for b in draw]
                     iq = self._noise.normal(0.0, 1.0, size=2)
-                    raw[str(qubit)] = [round(float(iq[0]), 6), round(float(iq[1]), 6)]
-        return {"ok": True, "module": module, "shots": shots, "bits": bits, "raw": raw}
+                    raw[str(meta["qubit"])] = [round(float(iq[0]), 6), round(float(iq[1]), 6)]
+        return {"ok": True, "shots": shots, "bits": bits, "raw": raw}
 
     # -- dispatch -----------------------------------------------------------
 
@@ -403,6 +403,21 @@ class ClusterService:
 
 def _err(code: str, msg: str) -> dict:
     return {"ok": False, "error": code, "msg": msg}
+
+
+def _meta_problem(meta) -> str | None:
+    """Why a prepare's meta cannot drive start and retrieve, or None. The
+    type checks are exact, so JSON booleans are not numbers here."""
+    if not isinstance(meta, dict):
+        return "meta must be an object"
+    if type(meta.get("qubit")) is not int:
+        return "meta.qubit must be an integer"
+    if type(meta.get("shots")) is not int or meta["shots"] < 1:
+        return "meta.shots must be a positive integer"
+    schedule_s = meta.get("schedule_s")
+    if type(schedule_s) not in (int, float) or not 0 <= schedule_s < math.inf:
+        return "meta.schedule_s must be a finite non-negative number"
+    return None
 
 
 def serve(

@@ -37,9 +37,13 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, schedule_moments
-from .timing import TimingModel
+from .timing import DEFAULT_TIMING, TimingModel
 
 ENVELOPE_SAMPLES = 40
+# Qubit q runs on sequencer q % 6 of control module cm{q // 6} and, if
+# measured, of readout module rm{q // 6}.
+SEQUENCERS_PER_MODULE = 6
+_MODULE_PREFIX = {"control": "cm", "readout": "rm"}
 
 _WAVEFORM_HEADER = "# waveforms"
 _SCHEDULE_HEADER = "# schedule"
@@ -115,55 +119,10 @@ class CompiledJob:
 
 
 @dataclass(frozen=True)
-class FileSize:
-    qubit: int
-    role: str
-    module: str
-    sequencer: int
-    total_bytes: int
-    waveform_bytes: int
-    schedule_bytes: int
-
-
-@dataclass(frozen=True)
 class JobSizeReport:
-    files: tuple[FileSize, ...]
     total_bytes: int
     waveform_bytes: int
     schedule_bytes: int
-    bytes_per_qubit: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total_bytes": self.total_bytes,
-                "waveform_bytes": self.waveform_bytes,
-                "schedule_bytes": self.schedule_bytes,
-                "bytes_per_qubit": self.bytes_per_qubit,
-                "files": [
-                    {
-                        "qubit": f.qubit,
-                        "role": f.role,
-                        "module": f.module,
-                        "sequencer": f.sequencer,
-                        "total_bytes": f.total_bytes,
-                        "waveform_bytes": f.waveform_bytes,
-                        "schedule_bytes": f.schedule_bytes,
-                    }
-                    for f in self.files
-                ],
-            },
-            sort_keys=True,
-        )
-
-
-def default_device_map(n: int, sequencers_per_module: int = 6) -> dict:
-    """Assign qubit q to control module cm{q//6} and readout module rm{q//6}."""
-    out = {}
-    for q in range(n):
-        m, s = divmod(q, sequencers_per_module)
-        out[q] = {"control": (f"cm{m}", s), "readout": (f"rm{m}", s)}
-    return out
 
 
 def _ns(seconds: float) -> int:
@@ -259,27 +218,14 @@ def _render_program(
     return "\n".join(lines) + "\n"
 
 
-def compile(
-    c: Circuit,
-    shots: int,
-    reset: str,
-    t: TimingModel | None = None,
-    device: dict | None = None,
-) -> CompiledJob:
-    """Lower a circuit to per-sequencer program files.
-
-    device maps qubit -> {"control": (module, seq), "readout": (module, seq)};
-    defaults to six sequencers per module. Raises CompileError on zero shots,
-    unknown reset modes, or unmapped qubits.
-    """
-    t = t or TimingModel()
+def compile(c: Circuit, shots: int, reset: str) -> CompiledJob:
+    """Lower a circuit to one control program per qubit and one readout
+    program per measured qubit, placed as SEQUENCERS_PER_MODULE describes.
+    Raises CompileError on zero shots, ValueError on unknown reset modes."""
+    t = DEFAULT_TIMING
     if shots <= 0:
         raise CompileError(f"shots must be positive, got {shots}")
     reset_s = t.reset_duration(reset)  # raises on unknown mode
-    device = device if device is not None else default_device_map(c.n)
-    for q in range(c.n):
-        if q not in device or "control" not in device[q] or "readout" not in device[q]:
-            raise CompileError(f"qubit {q} has no sequencer assignment")
 
     moments = schedule_moments(c, t)
     circuit_s = sum(d for d, _ in moments)
@@ -288,10 +234,11 @@ def compile(
 
     files: list[ProgramFile] = []
     for q in range(c.n):
+        module_index, seq = divmod(q, SEQUENCERS_PER_MODULE)
         roles = ["control"] + (["readout"] if q in measured else [])
         for role in roles:
-            module, seq = device[q][role]
             text = _render_program(q, role, moments, shots, reset_ns, t)
+            module = f"{_MODULE_PREFIX[role]}{module_index}"
             files.append(
                 ProgramFile(qubit=q, role=role, module=module, sequencer=seq, text=text)
             )
@@ -307,29 +254,9 @@ def compile(
 
 
 def measure_job_size(job: CompiledJob) -> JobSizeReport:
-    """Split every program file into waveform bytes vs schedule bytes."""
-    sizes: list[FileSize] = []
+    """Split the job's program bytes into waveform bytes vs schedule bytes."""
+    total = wf = 0
     for f in job.files:
-        data = f.text.encode("utf-8")
-        sched_at = f.text.index(_SCHEDULE_HEADER)
-        wf_bytes = len(f.text[:sched_at].encode("utf-8"))
-        sizes.append(
-            FileSize(
-                qubit=f.qubit,
-                role=f.role,
-                module=f.module,
-                sequencer=f.sequencer,
-                total_bytes=len(data),
-                waveform_bytes=wf_bytes,
-                schedule_bytes=len(data) - wf_bytes,
-            )
-        )
-    total = sum(s.total_bytes for s in sizes)
-    wf = sum(s.waveform_bytes for s in sizes)
-    return JobSizeReport(
-        files=tuple(sizes),
-        total_bytes=total,
-        waveform_bytes=wf,
-        schedule_bytes=total - wf,
-        bytes_per_qubit=total / job.n,
-    )
+        total += f.size_bytes()
+        wf += len(f.text[: f.text.index(_SCHEDULE_HEADER)].encode("utf-8"))
+    return JobSizeReport(total_bytes=total, waveform_bytes=wf, schedule_bytes=total - wf)

@@ -34,7 +34,6 @@ from .problem import MIN_REGULAR_QUBITS, ProblemGraph, cut_value, generate_insta
 from .profiler import AggregateReport, PhaseRecord, aggregate, extrapolate, record_iteration
 from .router import PowerLawFit, swap_scaling_experiment
 from .statevector import MAX_SIM_QUBITS, sample, simulate
-from .timing import TimingModel
 from .util import mix_seed
 
 RESET_MODES = ("passive", "active")
@@ -377,7 +376,6 @@ def run_extrapolation(
     swap_fit_path: str | None = None,
     compute_swap: bool = True,
     shots: int | None = None,
-    t: TimingModel | None = None,
     out_path: str | None = None,
 ):
     """Extrapolate measured per-phase runtimes to target_n.
@@ -392,7 +390,7 @@ def run_extrapolation(
         swap_fit = run_swap_study()
     else:
         swap_fit = None
-    table = extrapolate(reports, target_n, swap_fit=swap_fit, t=t, shots=shots)
+    table = extrapolate(reports, target_n, swap_fit=swap_fit, shots=shots)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(table.to_csv())

@@ -8,7 +8,6 @@ cut, with qubit 0 as the leftmost character.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +52,6 @@ class ProblemGraph:
 
     def degree(self, v: int) -> int:
         return sum(1 for i, j in self.edges if v in (i, j))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "edges": [list(e) for e in self.edges], "seed": self.seed},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemGraph":
-        raw = json.loads(text)
-        edges = tuple(tuple(e) for e in raw["edges"])
-        return cls(n=int(raw["n"]), edges=edges, seed=int(raw.get("seed", 0)))
 
 
 def _complete_graph(n: int, seed: int) -> ProblemGraph:

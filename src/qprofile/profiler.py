@@ -16,7 +16,7 @@ import numpy as np
 
 from .client import IterationTimings
 from .router import PowerLawFit
-from .timing import TimingModel
+from .timing import DEFAULT_TIMING, TimingModel
 
 PHASE_ORDER = (
     "compile",
@@ -287,15 +287,14 @@ def extrapolate(
     reports_by_n: dict[int, AggregateReport],
     target_n: int,
     swap_fit: PowerLawFit | None = None,
-    t: TimingModel | None = None,
     shots: int | None = None,
 ) -> ExtrapolationTable:
     """Linear per-phase extrapolation to target_n, in seconds.
 
     The schedule row additionally carries the routed-SWAP overhead when a
-    power-law fit is provided. The total row is the sum of the others.
+    power-law fit is provided, at DEFAULT_TIMING's two-qubit gate time. The
+    total row is the sum of the others.
     """
-    t = t or TimingModel()
     if len(reports_by_n) < 3:
         raise ValueError("need measured reports for at least 3 qubit counts")
     ns = sorted(reports_by_n)
@@ -312,7 +311,7 @@ def extrapolate(
         shots = int(shot_values.pop())
 
     swap_term_s = (
-        swap_overhead_seconds(target_n, swap_fit, shots, t) if swap_fit else 0.0
+        swap_overhead_seconds(target_n, swap_fit, shots, DEFAULT_TIMING) if swap_fit else 0.0
     )
     rows: list[tuple[str, float]] = []
     total = 0.0

@@ -97,7 +97,6 @@ def sample(state: StateVector, shots: int, seed: int) -> ShotCounts:
     probs = probs / probs.sum()
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.multinomial(shots, probs)
-    counts = {
-        format(k, f"0{state.n}b"): int(v) for k, v in enumerate(draws) if v > 0
-    }
+    hit = np.flatnonzero(draws)
+    counts = {format(k, f"0{state.n}b"): v for k, v in zip(hit.tolist(), draws[hit].tolist())}
     return ShotCounts(counts=counts, shots=shots)

@@ -57,12 +57,6 @@ def test_measured_qubits_in_order():
     assert c.measured_qubits() == (2, 0)
 
 
-def test_circuit_json_round_trip():
-    c = build_qaoa(generate_instance(3, 0), QaoaParams(p=1, gammas=(0.3,), betas=(1.1,)))
-    again = Circuit.from_json(c.to_json())
-    assert again == c
-
-
 def test_qaoa_params_from_flat_derives_layer_count():
     p = QaoaParams.from_flat((0.1, 0.2, 0.3, 0.4))
     assert p.p == 2

@@ -5,14 +5,10 @@ import json
 import pytest
 
 from qprofile.circuit import QaoaParams, build_qaoa, circuit_duration
-from qprofile.compiler import (
-    CompileError,
-    compile,
-    default_device_map,
-    measure_job_size,
-)
+from qprofile.cluster import Topology
+from qprofile.compiler import CompileError, compile, measure_job_size
 from qprofile.problem import generate_instance
-from qprofile.timing import TimingModel
+from qprofile.timing import DEFAULT_TIMING
 
 PARAMS = QaoaParams(p=2, gammas=(0.7, 0.7), betas=(0.4, 0.4))
 
@@ -57,9 +53,9 @@ def test_readout_programs_acquire_and_control_programs_play(k4_job):
 
 def test_reset_mode_changes_the_schedule_length():
     c = _k4_circuit()
-    t = TimingModel()
-    passive = compile(c, 1000, "passive", t)
-    active = compile(c, 1000, "active", t)
+    t = DEFAULT_TIMING
+    passive = compile(c, 1000, "passive")
+    active = compile(c, 1000, "active")
     assert passive.schedule_seconds == pytest.approx(1000 * (t.passive_reset + passive.circuit_seconds))
     assert active.schedule_seconds == pytest.approx(1000 * (t.active_reset + active.circuit_seconds))
     assert passive.schedule_seconds > active.schedule_seconds
@@ -76,27 +72,29 @@ def test_compile_error_cases():
         compile(c, 0, "passive")
     with pytest.raises(ValueError):
         compile(c, 1000, "warm")
-    with pytest.raises(CompileError):
-        compile(c, 1000, "passive", device={0: {"control": ("cm0", 0), "readout": ("rm0", 0)}})
 
 
-def test_device_map_assigns_six_sequencers_per_module():
-    device = default_device_map(8)
-    assert device[0]["control"] == ("cm0", 0)
-    assert device[5]["control"] == ("cm0", 5)
-    assert device[6]["control"] == ("cm1", 0)
-    assert device[7]["readout"] == ("rm1", 1)
+def test_every_program_file_lands_on_a_sequencer_of_the_topology():
+    for n in range(2, 25):
+        topology = Topology.for_qubits(n)
+        sequencers = {
+            (m, s) for m in topology.module_ids() for s in range(topology.sequencers_per_module)
+        }
+        job = compile(build_qaoa(generate_instance(n, 0), PARAMS), 10, "active")
+        placed = [(f.module, f.sequencer) for f in job.files]
+        assert len(set(placed)) == len(placed) == 2 * n
+        assert set(placed) <= sequencers, n
+    files = compile(build_qaoa(generate_instance(8, 0), PARAMS), 10, "active").files
+    qubit_6 = {f.role: (f.module, f.sequencer) for f in files if f.qubit == 6}
+    assert qubit_6 == {"control": ("cm1", 0), "readout": ("rm1", 0)}
 
 
 def test_job_size_report_accounts_every_byte(k4_job):
     report = measure_job_size(k4_job)
     assert report.total_bytes == sum(f.size_bytes() for f in k4_job.files)
     assert report.total_bytes == report.waveform_bytes + report.schedule_bytes
-    assert all(f.total_bytes == f.waveform_bytes + f.schedule_bytes for f in report.files)
-    assert report.bytes_per_qubit == pytest.approx(report.total_bytes / 4)
-    parsed = json.loads(report.to_json())
-    assert parsed["total_bytes"] == report.total_bytes
-    assert len(parsed["files"]) == 8
+    waveform_tables = [f.text.split("# schedule")[0] for f in k4_job.files]
+    assert report.waveform_bytes == sum(len(w.encode("utf-8")) for w in waveform_tables)
 
 
 def test_job_size_grows_with_qubit_count():

@@ -334,6 +334,14 @@ def test_cli_rejects_bad_configuration(capsys):
     assert main(["bogus"]) == 2
 
 
+@pytest.mark.parametrize("section, key", [("latency", "stop_msec"), ("topology", "racks")])
+def test_cli_names_an_unknown_profile_key(tmp_path, capsys, section, key):
+    profile = tmp_path / "cluster.json"
+    profile.write_text(json.dumps({section: {key: 1}}))
+    assert main(["run", "--qubits", "3", "--runs", "1", "--profile", str(profile)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_cli_reports_unreachable_clusters(capsys):
     import socket
 

@@ -56,12 +56,6 @@ def test_edges_are_stored_sorted():
     assert g.edges == ((0, 1), (2, 3))
 
 
-def test_graph_json_round_trip():
-    g = generate_instance(6, seed=5)
-    again = ProblemGraph.from_json(g.to_json())
-    assert again == g
-
-
 def test_cut_value_counts_crossing_edges():
     g = generate_instance(4, seed=0)  # complete graph on 4 vertices
     assert cut_value(g, "0000") == 0

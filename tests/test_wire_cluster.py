@@ -98,8 +98,6 @@ def test_latency_profile_defaults_and_prepare_formula():
     assert z.dilation == 0.0
     with pytest.raises(ValueError):
         LatencyProfile(stop_ms=-1.0)
-    round_trip = LatencyProfile.from_dict(json.loads(p.to_json()))
-    assert round_trip == p
 
 
 def test_phase_nominals_follow_the_job_and_the_prepare_mode(k4_job):
@@ -211,6 +209,45 @@ def test_bad_frames_are_reported():
     assert svc.dispatch({"cmd": "prepare", "module": 3, "seq": "x"})["error"] == "bad_frame"
     bad_b64 = dict(_prepare_cmd(), program="!!not base64!!")
     assert svc.dispatch(bad_b64)["error"] == "bad_frame"
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"qubit": "0", "shots": 5, "schedule_s": 0.0},
+        {"qubit": 0, "shots": "x", "schedule_s": 0.0},
+        {"qubit": 0, "shots": 0, "schedule_s": 0.0},
+        {"qubit": 0, "shots": 5, "schedule_s": "soon"},
+        {"qubit": 0, "shots": 5, "schedule_s": float("nan")},
+        {"qubit": 0, "shots": 5, "schedule_s": -1.0},
+        {"qubit": 0, "shots": 5},
+        None,
+    ],
+    ids=["qubit-text", "shots-text", "shots-zero", "schedule-text", "schedule-nan",
+         "schedule-negative", "schedule-missing", "no-meta"],
+)
+def test_prepare_rejects_meta_that_start_or_retrieve_cannot_use(meta):
+    svc = _service()
+    reply = svc.dispatch(dict(_prepare_cmd(module="rm0"), meta=meta))
+    assert reply["error"] == "bad_frame"
+    assert {s.status for s in svc.state.seqs.values()} == {"idle"}
+    assert svc.dispatch({"cmd": "start"})["error"] == "bad_state"
+    assert svc.dispatch({"cmd": "retrieve", "module": "rm0"})["error"] == "bad_state"
+
+
+def test_retrieve_returns_only_the_sequencers_that_ran():
+    svc = _service()
+    for cycle_qubits in ((0, 1), (0,)):
+        svc.dispatch({"cmd": "stop"})
+        for q in cycle_qubits:
+            assert svc.dispatch(_prepare_cmd("rm0", q, qubit=q))["ok"]
+        assert svc.dispatch({"cmd": "start"})["ok"]
+        deadline = time.monotonic() + 2.0
+        while svc.dispatch({"cmd": "status"})["state"] != "done":
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        reply = svc.dispatch({"cmd": "retrieve", "module": "rm0"})
+        assert sorted(reply["bits"]) == [str(q) for q in cycle_qubits]
 
 
 def test_stop_resets_everything():
