@@ -144,18 +144,34 @@ class Topology:
 
 def load_cluster_config(path: str) -> tuple[LatencyProfile, Topology]:
     """Read {"latency": {...}, "topology": {...}} from a JSON file. Raises
-    ValueError naming any key that LatencyProfile or Topology lacks."""
+    ValueError naming the section or key when the file or a section is not
+    a JSON object, a key is one LatencyProfile or Topology lacks, a latency
+    is not a finite number or a topology value is not an int (JSON booleans
+    are neither)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(raw).__name__}")
 
-    def build(section: str, cls):
+    def build(section: str, cls, valid, kind: str):
         values = raw.get(section, {})
+        if not isinstance(values, dict):
+            raise ValueError(f"{section} in {path} must be an object, got {values!r}")
         unknown = sorted(set(values) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown {section} key(s) in {path}: {', '.join(unknown)}")
+        for key, value in values.items():
+            if not valid(value):
+                raise ValueError(f"{section} key {key} in {path} must be {kind}, got {value!r}")
         return cls(**values)
 
-    return build("latency", LatencyProfile), build("topology", Topology)
+    def finite(value) -> bool:
+        return type(value) in (int, float) and math.isfinite(value)
+
+    return (
+        build("latency", LatencyProfile, finite, "a finite number"),
+        build("topology", Topology, lambda value: type(value) is int, "an int"),
+    )
 
 
 class _Sequencer:

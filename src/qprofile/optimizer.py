@@ -14,9 +14,48 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
-from .problem import ProblemGraph, ShotCounts, expected_cut
+from .problem import ProblemGraph, ShotCounts, score
+
+# Sobol' direction numbers of dimensions 1..31 as (primitive polynomial,
+# initial direction numbers), from Joe and Kuo, "Constructing Sobol sequences
+# with better two-dimensional projections", SIAM J. Sci. Comput. 30 (2008).
+# Dimension 0 is all ones.
+_SOBOL_ROWS = (
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+_SOBOL_BITS = 30
+MAX_DIMENSIONS = len(_SOBOL_ROWS) + 1
 
 
 class OptimizerError(RuntimeError):
@@ -37,6 +76,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.bounds:
             raise ValueError("need at least one dimension")
+        if len(self.bounds) > MAX_DIMENSIONS:
+            raise ValueError(
+                f"the Sobol sweep covers at most {MAX_DIMENSIONS} dimensions, got {len(self.bounds)}"
+            )
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ValueError(f"bad bound ({lo}, {hi})")
@@ -146,6 +189,44 @@ def _nelder_mead(
     return iters, "cap"
 
 
+def _sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the d-dimensional Sobol' sequence in [0, 1)^d,
+    scrambled by a random lower-triangular linear matrix and a digital shift
+    per dimension (Matousek 1998) drawn from default_rng(seed).
+
+    The draws and their order are those of scipy.stats.qmc.Sobol(d,
+    scramble=True, seed=seed).random(n), so the points are bit-identical.
+    """
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ (1 << np.arange(bits, dtype=np.int64))
+    ltm = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32)).astype(np.int64)
+    # v[k, j] is direction number j of dimension k, with j + 1 significant bits
+    v = np.ones((d, bits), dtype=np.int64)
+    for k, (poly, init) in enumerate(_SOBOL_ROWS[: d - 1], start=1):
+        m = len(init)
+        v[k, :m] = init
+        for j in range(m, bits):
+            new = v[k, j - m]
+            for i in range(m):
+                if poly >> (m - 1 - i) & 1:
+                    new ^= v[k, j - i - 1] << (i + 1)
+            v[k, j] = new
+    msb_first = np.arange(bits - 1, -1, -1)
+    aligned = v << msb_first  # every direction number as a bits-bit fraction
+    scrambled = np.empty_like(v)
+    for k in range(d):
+        np.fill_diagonal(ltm[k], 1)
+        digits = aligned[k] >> msb_first[:, None] & 1  # digits[r, j]: bit r of number j
+        scrambled[k] = (ltm[k] @ digits % 2).T @ (1 << msb_first)
+    points = np.empty((n, d), dtype=np.int64)
+    quasi = shift
+    for i in range(n):
+        points[i] = quasi
+        quasi = quasi ^ scrambled[:, (~i & (i + 1)).bit_length() - 1]  # Gray-code step
+    return points * (1.0 / (1 << bits))
+
+
 def minimize(objective, config: OptimizerConfig) -> OptimizationTrace:
     """Minimize a (possibly noisy) objective over the configured box.
 
@@ -154,8 +235,7 @@ def minimize(objective, config: OptimizerConfig) -> OptimizationTrace:
     rec = _Recorder(objective)
     d = len(config.bounds)
 
-    sampler = qmc.Sobol(d=d, scramble=True, seed=config.seed)
-    unit = sampler.random(config.sample_budget)
+    unit = _sobol(d, config.sample_budget, config.seed)
     lo = np.array([b[0] for b in config.bounds])
     hi = np.array([b[1] for b in config.bounds])
     samples = lo + unit * (hi - lo)
@@ -188,4 +268,4 @@ def minimize(objective, config: OptimizerConfig) -> OptimizationTrace:
 
 def qaoa_objective(g: ProblemGraph, counts: ShotCounts | dict) -> float:
     """Negated shot-averaged cut value; minimizing this maximizes the cut."""
-    return -expected_cut(g, counts)
+    return -score(g, counts)[0]

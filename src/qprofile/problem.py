@@ -98,13 +98,26 @@ def generate_instance(n: int, seed: int) -> ProblemGraph:
         attempt_seed += 1  # fresh stream, still deterministic in the inputs
 
 
+def _basis_index(n: int, bitstring: str) -> int:
+    if len(bitstring) != n:
+        raise ValueError(f"bitstring length {len(bitstring)} != n={n}")
+    if bitstring.strip("01"):  # int(b, 2) alone would accept "0b1", "1_0", " 1"
+        raise ValueError(f"bitstring must be binary, got {bitstring!r}")
+    return int(bitstring, 2)
+
+
+def _cuts(g: ProblemGraph, ks):
+    """Edges cut by basis index ks (an int or an integer array), with vertex
+    i at index bit n-1-i so that indices read their bitstrings left to right."""
+    total = ks & 0  # 0, or zeros shaped like ks
+    for i, j in g.edges:
+        total += ((ks >> (g.n - 1 - i)) ^ (ks >> (g.n - 1 - j))) & 1
+    return total
+
+
 def cut_value(g: ProblemGraph, bitstring: str) -> int:
     """Number of edges whose endpoints fall on opposite sides of the cut."""
-    if len(bitstring) != g.n:
-        raise ValueError(f"bitstring length {len(bitstring)} != n={g.n}")
-    if set(bitstring) - {"0", "1"}:
-        raise ValueError(f"bitstring must be binary, got {bitstring!r}")
-    return sum(1 for i, j in g.edges if bitstring[i] != bitstring[j])
+    return _cuts(g, _basis_index(g.n, bitstring))
 
 
 def brute_force_max_cut(g: ProblemGraph) -> tuple[int, str]:
@@ -113,13 +126,7 @@ def brute_force_max_cut(g: ProblemGraph) -> tuple[int, str]:
         raise InvalidInstanceError(
             f"brute force capped at {MAX_BRUTE_FORCE_QUBITS} qubits, got {g.n}"
         )
-    ks = np.arange(1 << g.n, dtype=np.int64)
-    totals = np.zeros(1 << g.n, dtype=np.int32)
-    for i, j in g.edges:
-        # Vertex i occupies bit (n-1-i) so index bits read left to right.
-        bi = (ks >> (g.n - 1 - i)) & 1
-        bj = (ks >> (g.n - 1 - j)) & 1
-        totals += (bi ^ bj).astype(np.int32)
+    totals = _cuts(g, np.arange(1 << g.n, dtype=np.int64))
     best = int(np.argmax(totals))
     return int(totals[best]), format(best, f"0{g.n}b")
 
@@ -148,13 +155,15 @@ class ShotCounts:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
 
 
-def expected_cut(g: ProblemGraph, counts: ShotCounts | dict[str, int]) -> float:
-    """Shot-weighted average cut value of a counts histogram."""
+def score(g: ProblemGraph, counts: ShotCounts | dict[str, int]) -> tuple[float, int]:
+    """(shot-weighted mean cut, largest cut among bitstrings drawn at least
+    once) of a counts histogram, from one pass over its keys."""
     mapping = counts.counts if isinstance(counts, ShotCounts) else counts
-    total = sum(mapping.values())
+    ks = np.fromiter((_basis_index(g.n, b) for b in mapping), dtype=np.int64, count=len(mapping))
+    draws = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+    total = int(draws.sum())
     if total <= 0:
         raise ValueError("empty counts")
-    acc = 0.0
-    for b, c in mapping.items():
-        acc += c * cut_value(g, b)
-    return acc / total
+    cuts = _cuts(g, ks)
+    # integer dot product: the mean is exact up to the one division
+    return int(draws @ cuts) / total, int(cuts[draws > 0].max())

@@ -334,12 +334,27 @@ def test_cli_rejects_bad_configuration(capsys):
     assert main(["bogus"]) == 2
 
 
-@pytest.mark.parametrize("section, key", [("latency", "stop_msec"), ("topology", "racks")])
-def test_cli_names_an_unknown_profile_key(tmp_path, capsys, section, key):
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        pytest.param({"latency": {"stop_msec": 1}}, "stop_msec", id="latency-stop_msec"),
+        pytest.param({"topology": {"racks": 1}}, "racks", id="topology-racks"),
+        pytest.param({"latency": {"stop_ms": "x"}}, "stop_ms", id="latency-string"),
+        pytest.param({"latency": {"stop_ms": True}}, "stop_ms", id="latency-boolean"),
+        pytest.param({"latency": {"retrieve_ms": float("nan")}}, "retrieve_ms", id="latency-nan"),
+        pytest.param({"latency": 5}, "latency", id="latency-not-an-object"),
+        pytest.param({"topology": {"control_modules": "3"}}, "control_modules",
+                     id="topology-string"),
+        pytest.param({"topology": {"readout_modules": 2.0}}, "readout_modules",
+                     id="topology-float"),
+        pytest.param([1, 2], "JSON object", id="top-level-list"),
+    ],
+)
+def test_cli_names_an_unknown_profile_key(tmp_path, capsys, config, named):
     profile = tmp_path / "cluster.json"
-    profile.write_text(json.dumps({section: {key: 1}}))
+    profile.write_text(json.dumps(config))
     assert main(["run", "--qubits", "3", "--runs", "1", "--profile", str(profile)]) == 2
-    assert key in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_cli_reports_unreachable_clusters(capsys):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from qprofile.optimizer import (
+    MAX_DIMENSIONS,
     OptimizationTrace,
     OptimizerConfig,
     OptimizerError,
+    _sobol,
     minimize,
     qaoa_objective,
 )
@@ -113,3 +117,33 @@ def test_trace_is_a_frozen_record():
 def test_qaoa_objective_is_the_negated_average_cut():
     g = ProblemGraph(n=2, edges=((0, 1),))
     assert qaoa_objective(g, {"01": 3, "00": 1}) == pytest.approx(-0.75)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 7, MAX_DIMENSIONS])
+def test_sobol_points_are_stratified(d):
+    # 2^m scrambled Sobol' points put one point in each of the 2^m equal
+    # intervals of every dimension, and the first 2^j of them fill 2^j
+    for seed in range(5):
+        points = _sobol(d, 64, seed)
+        assert points.shape == (64, d) and np.all((points >= 0.0) & (points < 1.0))
+        for n in (2, 8, 64):
+            cells = np.sort(np.floor(points[:n] * n).astype(int), axis=0)
+            assert np.array_equal(cells, np.repeat(np.arange(n)[:, None], d, axis=1))
+    assert not np.array_equal(_sobol(d, 8, 0), _sobol(d, 8, 1))
+
+
+def test_sobol_points_equal_scipys_scrambled_sobol():
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    for d in (1, 2, 4, 9, MAX_DIMENSIONS):
+        for seed in (0, 3, 2**40 + 7, 2**64 - 1):
+            for n in (1, 5, 32):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # scipy warns when n is not 2^m
+                    expected = qmc.Sobol(d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(_sobol(d, n, seed), expected)
+
+
+def test_the_sobol_sweep_is_capped_at_its_table():
+    OptimizerConfig(bounds=((0.0, 1.0),) * MAX_DIMENSIONS)
+    with pytest.raises(ValueError, match="at most"):
+        OptimizerConfig(bounds=((0.0, 1.0),) * (MAX_DIMENSIONS + 1))

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+
+from qprofile.circuit import QaoaParams, build_qaoa, simplify
 
 from qprofile.problem import (
     InvalidInstanceError,
@@ -8,9 +13,10 @@ from qprofile.problem import (
     ShotCounts,
     brute_force_max_cut,
     cut_value,
-    expected_cut,
     generate_instance,
+    score,
 )
+from qprofile.statevector import sample, simulate
 
 
 def test_small_sizes_fall_back_to_complete_graphs():
@@ -110,10 +116,37 @@ def test_shot_counts_validation():
         ShotCounts(counts={}, shots=0)
 
 
-def test_expected_cut_weights_by_shots():
+def test_score_weights_by_shots():
     g = ProblemGraph(n=2, edges=((0, 1),))
     counts = ShotCounts(counts={"00": 500, "11": 500}, shots=1000)
-    assert expected_cut(g, counts) == 0.0
-    assert expected_cut(g, {"01": 1, "00": 1}) == 0.5
+    assert score(g, counts)[0] == 0.0
+    assert score(g, {"01": 1, "00": 1})[0] == 0.5
     with pytest.raises(ValueError):
-        expected_cut(g, {})
+        score(g, {})
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_score_equals_the_cut_value_scan(n):
+    g = generate_instance(n, seed=n)
+    x = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, 4)
+    counts = sample(simulate(simplify(build_qaoa(g, QaoaParams.from_flat(x)))), 1000, seed=n)
+    scan_mean = sum(c * cut_value(g, b) for b, c in counts.counts.items()) / counts.shots
+    scan_best = max(cut_value(g, b) for b, c in counts.counts.items() if c > 0)
+    for given in (counts, dict(counts.counts)):
+        mean, best = score(g, given)
+        assert mean == scan_mean
+        assert best == scan_best and type(best) is int
+
+
+def test_score_skips_undrawn_bitstrings_for_the_best_cut():
+    g = ProblemGraph(n=2, edges=((0, 1),))
+    assert score(g, {"01": 0, "00": 3}) == (0.0, 0)
+
+
+@pytest.mark.parametrize("key", ["0b1", "1_0", " 1", "1 ", "+1", "1", "100", "0a", "１0"])
+def test_score_and_cut_value_refuse_keys_that_are_not_n_binary_digits(key):
+    g = ProblemGraph(n=2, edges=((0, 1),))
+    with pytest.raises(ValueError):
+        cut_value(g, key)
+    with pytest.raises(ValueError):
+        score(g, {key: 1})
