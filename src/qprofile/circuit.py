@@ -122,9 +122,6 @@ class QaoaParams:
         p = len(vals) // 2
         return cls(p=p, gammas=vals[:p], betas=vals[p:])
 
-    def flat(self) -> tuple[float, ...]:
-        return self.gammas + self.betas
-
 
 def build_qaoa(g: ProblemGraph, params: QaoaParams) -> Circuit:
     """Layered Max-Cut ansatz.

@@ -19,10 +19,12 @@ from .harness import (
     BenchmarkError,
     BenchmarkResult,
     DEFAULT_SWAP_SIZES,
+    load_reports,
+    load_swap_fit,
     run_benchmark,
-    run_extrapolation,
     run_swap_study,
 )
+from .profiler import extrapolate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,16 +63,18 @@ def parse_cluster(text: str) -> tuple[str | None, int | None]:
     if text == "embedded":
         return None, None
     host, sep, port_text = text.rpartition(":")
-    if not sep or not host or not port_text.isdigit():
-        raise ValueError(f'cluster must be "embedded" or host:port, got {text!r}')
+    if not sep or not host or not port_text.isdigit() or not 1 <= int(port_text) <= 65535:
+        raise ValueError(f'cluster must be "embedded" or host:port (port 1..65535), got {text!r}')
     return host, int(port_text)
 
 
-def _load_profile(path: str | None) -> tuple[LatencyProfile, Topology, str]:
-    if not path:
-        return LatencyProfile(), Topology(), "default"
-    profile, topology = load_cluster_config(path)
-    return profile, topology, os.path.basename(path)
+def _load_profile(
+    path: str | None, dilation: float | None
+) -> tuple[LatencyProfile, Topology, str]:
+    profile, topology = load_cluster_config(path) if path else (LatencyProfile(), Topology())
+    if dilation is not None:  # --dilation overrides the profile's
+        profile = dataclasses.replace(profile, dilation=dilation)
+    return profile, topology, os.path.basename(path) if path else "default"
 
 
 def _check_latencies(result: BenchmarkResult) -> list[str]:
@@ -92,7 +96,7 @@ def _check_latencies(result: BenchmarkResult) -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    profile, _, profile_name = _load_profile(args.profile)
+    profile, _, profile_name = _load_profile(args.profile, args.dilation)
     host, port = parse_cluster(args.cluster)
     config = BenchmarkConfig(
         qubits=parse_qubits(args.qubits),
@@ -100,7 +104,7 @@ def _cmd_run(args) -> int:
         runs=args.runs,
         reset=args.reset,
         prepare=args.prepare,
-        dilation=args.dilation,
+        dilation=profile.dilation,
         seed=args.seed,
         p=args.p,
         timing_mode=args.timing_mode,
@@ -127,9 +131,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    profile, topology, _ = _load_profile(args.profile)
-    if args.dilation is not None:
-        profile = dataclasses.replace(profile, dilation=args.dilation)
+    profile, topology, _ = _load_profile(args.profile, args.dilation)
     serve(args.bind, profile=profile, topology=topology)
     return EXIT_OK
 
@@ -151,14 +153,15 @@ def _cmd_swaps(args) -> int:
 
 
 def _cmd_extrapolate(args) -> int:
-    table = run_extrapolation(
-        report_dir=args.in_dir,
-        target_n=args.target,
-        swap_fit_path=args.swap_fit,
-        compute_swap=not args.no_swap,
-        shots=args.shots,
-        out_path=args.out,
-    )
+    reports = load_reports(args.in_dir)
+    if args.swap_fit:
+        swap_fit = load_swap_fit(args.swap_fit)
+    else:
+        swap_fit = None if args.no_swap else run_swap_study()
+    table = extrapolate(reports, args.target, swap_fit=swap_fit, shots=args.shots)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(table.to_csv())
     if table.interpolation:
         print(f"note: target {table.target_n} lies inside the measured range")
     print(table.to_csv(), end="")
@@ -181,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int, default=40)
     run.add_argument("--reset", choices=["passive", "active"], default="passive")
     run.add_argument("--prepare", choices=["sequential", "parallel"], default="sequential")
-    run.add_argument("--dilation", type=float, default=1.0)
+    run.add_argument("--dilation", type=float, help="schedule dilation (default: the profile's)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--p", type=int, default=2, help="ansatz layer count")
     run.add_argument("--timing-mode", choices=["real", "virtual"], default="real")
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv = sub.add_parser("serve", help="run a virtual cluster service")
     srv.add_argument("--bind", default="127.0.0.1:7780", help="host:port, port 0 for ephemeral")
     srv.add_argument("--profile", help="cluster config JSON (latency profile, topology)")
-    srv.add_argument("--dilation", type=float, default=None, help="override schedule dilation")
+    srv.add_argument("--dilation", type=float, help="schedule dilation (default: the profile's)")
     srv.set_defaults(func=_cmd_serve)
 
     sw = sub.add_parser("swaps", help="measure routed-SWAP scaling and fit a power law")

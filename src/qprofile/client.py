@@ -21,6 +21,7 @@ from . import wire
 from .compiler import CompiledJob, ProgramFile
 
 POLL_INTERVAL_S = 0.001
+CONNECT_TIMEOUT_S = 10.0
 # wait_done gives up this long after the schedule's nominal duration
 WAIT_TIMEOUT_S = 120.0
 MAX_PARALLEL_STREAMS = 32
@@ -90,9 +91,9 @@ class IterationTimings:
 class ClusterConnection:
     """One framed TCP connection."""
 
-    def __init__(self, host: str, port: int, timeout_s: float = 10.0):
+    def __init__(self, host: str, port: int):
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout_s)
+            self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
         except OSError as exc:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

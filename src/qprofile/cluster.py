@@ -65,8 +65,8 @@ class LatencyProfile:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     @classmethod
     def zeroed(cls, dilation: float = 0.0) -> "LatencyProfile":
@@ -146,8 +146,8 @@ def load_cluster_config(path: str) -> tuple[LatencyProfile, Topology]:
     """Read {"latency": {...}, "topology": {...}} from a JSON file. Raises
     ValueError naming the section or key when the file or a section is not
     a JSON object, a key is one LatencyProfile or Topology lacks, a latency
-    is not a finite number or a topology value is not an int (JSON booleans
-    are neither)."""
+    is not a number (LatencyProfile then refuses a negative or non-finite
+    one) or a topology value is not an int (JSON booleans are neither)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -165,11 +165,8 @@ def load_cluster_config(path: str) -> tuple[LatencyProfile, Topology]:
                 raise ValueError(f"{section} key {key} in {path} must be {kind}, got {value!r}")
         return cls(**values)
 
-    def finite(value) -> bool:
-        return type(value) in (int, float) and math.isfinite(value)
-
     return (
-        build("latency", LatencyProfile, finite, "a finite number"),
+        build("latency", LatencyProfile, lambda value: type(value) in (int, float), "a number"),
         build("topology", Topology, lambda value: type(value) is int, "an int"),
     )
 
@@ -195,9 +192,6 @@ class ClusterState:
                 self.seqs[(m, s)] = _Sequencer()
         self.done_at: float | None = None
         self.start_pending = False
-
-    def has_module(self, module: str) -> bool:
-        return any(m == module for m, _ in self.seqs)
 
     def _refresh_locked(self):
         if self.done_at is not None and time.monotonic() >= self.done_at:
@@ -305,7 +299,7 @@ class ClusterService:
             return {"ok": True, "state": self.state.phase_locked()}
 
     def handle_retrieve(self, module: str) -> dict:
-        if not isinstance(module, str) or not self.state.has_module(module):
+        if module not in self.topology.module_ids():
             return _err("unknown_target", f"no module {module!r}")
         time.sleep(self.profile.retrieve_ms * 1e-3)
         with self.state.lock:
@@ -443,8 +437,11 @@ def serve(
 ) -> None:
     """Run a cluster service until SIGINT/SIGTERM. CLI entry point."""
     host, _, port_text = bind.partition(":")
+    port = int(port_text or 0)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0..65535 (0: ephemeral), got {port}")
     service = ClusterService(profile=profile, topology=topology)
-    host_out, port_out = service.start(host or "127.0.0.1", int(port_text or 0))
+    host_out, port_out = service.start(host or "127.0.0.1", port)
     print(f"cluster listening on {host_out}:{port_out}", flush=True)
 
     stop_event = threading.Event()

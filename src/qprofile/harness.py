@@ -31,7 +31,7 @@ from .cluster import ClusterService, LatencyProfile, Topology
 from .compiler import compile
 from .optimizer import OptimizerConfig, minimize
 from .problem import MIN_REGULAR_QUBITS, ProblemGraph, generate_instance, score
-from .profiler import AggregateReport, PhaseRecord, aggregate, extrapolate, record_iteration
+from .profiler import AggregateReport, PhaseRecord, aggregate, record_iteration
 from .router import PowerLawFit, swap_scaling_experiment
 from .statevector import MAX_SIM_QUBITS, sample, simulate
 from .util import mix_seed
@@ -165,15 +165,14 @@ def _one_run(
     records: list[PhaseRecord] = []
     nominals: list[dict] = []
     best_cut = 0.0
-    last_exit: list[float | None] = [None]
-    iteration = [0]
+    last_exit: float | None = None
 
     def objective(x) -> float:
-        nonlocal best_cut
+        nonlocal best_cut, last_exit
         entered = time.perf_counter()
-        optimizer_ms = 0.0 if last_exit[0] is None else (entered - last_exit[0]) * 1e3
+        optimizer_ms = 0.0 if last_exit is None else (entered - last_exit) * 1e3
 
-        params = QaoaParams.from_flat(tuple(float(v) for v in x))
+        params = QaoaParams.from_flat(x)
         circ = simplify(build_qaoa(g, params))
         job = compile(circ, config.shots, config.reset)
         compile_ms = (time.perf_counter() - entered) * 1e3
@@ -189,7 +188,8 @@ def _one_run(
             compile_ms = 0.0
             optimizer_ms = 0.0
 
-        shot_seed = mix_seed(config.seed, n, run_idx, iteration[0])
+        iteration = len(records)
+        shot_seed = mix_seed(config.seed, n, run_idx, iteration)
         counts = sample(simulate(circ), config.shots, shot_seed)
         mean_cut, best_observed = score(g, counts)
         best_cut = max(best_cut, best_observed)
@@ -202,12 +202,11 @@ def _one_run(
                 schedule_nominal_s=job.schedule_seconds,
                 dilation=config.dilation,
                 run=run_idx,
-                iteration=iteration[0],
+                iteration=iteration,
                 qubits=n,
             )
         )
-        iteration[0] += 1
-        last_exit[0] = time.perf_counter()
+        last_exit = time.perf_counter()
         return -mean_cut
 
     trace = minimize(objective, opt_cfg)
@@ -358,8 +357,6 @@ def run_swap_study(
 
 def load_swap_fit(path: str) -> PowerLawFit:
     """Rebuild a PowerLawFit from a swap-study CSV."""
-    from .router import fit_power_law
-
     with open(path) as fh:
         text = fh.read()
     points = []
@@ -368,32 +365,4 @@ def load_swap_fit(path: str) -> PowerLawFit:
             continue
         n_text, mean_text, std_text = line.split(",")
         points.append((int(n_text), float(mean_text), float(std_text)))
-    a, b, resid = fit_power_law([pt[0] for pt in points], [pt[1] for pt in points])
-    return PowerLawFit(a=a, b=b, residual=resid, points=tuple(points))
-
-
-def run_extrapolation(
-    report_dir: str,
-    target_n: int,
-    swap_fit_path: str | None = None,
-    compute_swap: bool = True,
-    shots: int | None = None,
-    out_path: str | None = None,
-):
-    """Extrapolate measured per-phase runtimes to target_n.
-
-    The schedule phase carries the routed-SWAP overhead, taken from a saved
-    swap-study file when given, otherwise measured on the spot with default
-    study settings; pass compute_swap=False for the pure linear table."""
-    reports = load_reports(report_dir)
-    if swap_fit_path:
-        swap_fit = load_swap_fit(swap_fit_path)
-    elif compute_swap:
-        swap_fit = run_swap_study()
-    else:
-        swap_fit = None
-    table = extrapolate(reports, target_n, swap_fit=swap_fit, shots=shots)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(table.to_csv())
-    return table
+    return PowerLawFit.from_points(points)

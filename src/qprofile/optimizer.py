@@ -5,7 +5,7 @@ Nelder-Mead refinement from the best sampled starts. Iterations are
 simplex refinement iterations; the Sobol sweep and the simplex
 initialization count only as objective evaluations. A refinement start
 ends early when the best value seen so far stops improving by more than
-the tolerance across a window of consecutive simplex iterations.
+TOLERANCE across STALL_WINDOW consecutive simplex iterations.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ _SOBOL_ROWS = (
 )
 _SOBOL_BITS = 30
 MAX_DIMENSIONS = len(_SOBOL_ROWS) + 1
+TOLERANCE = 1e-3
+STALL_WINDOW = 3
 
 
 class OptimizerError(RuntimeError):
@@ -68,8 +70,6 @@ class OptimizerConfig:
     sample_budget: int = 32  # Sobol evaluations
     local_budget: int = 40  # simplex iterations per start
     starts: int = 3
-    tolerance: float = 1e-3
-    stall_window: int = 3
     max_iterations: int = 50  # simplex iterations across all starts
     seed: int = 0
 
@@ -85,8 +85,6 @@ class OptimizerConfig:
                 raise ValueError(f"bad bound ({lo}, {hi})")
         if min(self.sample_budget, self.local_budget, self.starts, self.max_iterations) < 1:
             raise ValueError("budgets must be positive")
-        if self.tolerance < 0 or self.stall_window < 1:
-            raise ValueError("tolerance must be non-negative and stall window positive")
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ def _nelder_mead(
 
     Runs at most min(local_budget, iteration_budget) simplex iterations.
     Returns (iterations used, "stall" | "cap"): "stall" when the best value
-    improved by less than the tolerance over stall_window consecutive
+    improved by less than TOLERANCE over STALL_WINDOW consecutive
     iterations, "cap" when an iteration budget ended the start.
     """
     bounds = config.bounds
@@ -182,9 +180,9 @@ def _nelder_mead(
 
         iters += 1
         best_history.append(rec.best_value)
-        if len(best_history) > config.stall_window:
-            window_gain = best_history[-config.stall_window - 1] - best_history[-1]
-            if window_gain < config.tolerance:
+        if len(best_history) > STALL_WINDOW:
+            window_gain = best_history[-STALL_WINDOW - 1] - best_history[-1]
+            if window_gain < TOLERANCE:
                 return iters, "stall"
     return iters, "cap"
 
@@ -255,8 +253,6 @@ def minimize(objective, config: OptimizerConfig) -> OptimizationTrace:
             terminated_by = "budget"
             break
 
-    if rec.best_params is None:
-        raise OptimizerError("no evaluations completed")
     return OptimizationTrace(
         evaluations=tuple(rec.evaluations),
         best_params=rec.best_params,

@@ -14,10 +14,8 @@ import numpy as np
 
 from .util import mix_seed
 
-MAX_BRUTE_FORCE_QUBITS = 24
 # smallest n with a 4-regular simple graph; below it instances are complete graphs
 MIN_REGULAR_QUBITS = 5
-_PAIRING_RETRIES = 2000
 
 
 class InvalidInstanceError(ValueError):
@@ -33,7 +31,6 @@ class ProblemGraph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -54,9 +51,9 @@ class ProblemGraph:
         return sum(1 for i, j in self.edges if v in (i, j))
 
 
-def _complete_graph(n: int, seed: int) -> ProblemGraph:
+def _complete_graph(n: int) -> ProblemGraph:
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    return ProblemGraph(n=n, edges=edges, seed=seed)
+    return ProblemGraph(n=n, edges=edges)
 
 
 def _pairing_draw(n: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...] | None:
@@ -87,15 +84,12 @@ def generate_instance(n: int, seed: int) -> ProblemGraph:
     if n < 2:
         raise InvalidInstanceError(f"need at least 2 qubits, got {n}")
     if n < MIN_REGULAR_QUBITS:
-        return _complete_graph(n, seed)
-    attempt_seed = seed
+        return _complete_graph(n)
+    rng = np.random.Generator(np.random.Philox(key=mix_seed(seed, n, 0x9A)))
     while True:
-        rng = np.random.Generator(np.random.Philox(key=mix_seed(attempt_seed, n, 0x9A)))
-        for _ in range(_PAIRING_RETRIES):
-            edges = _pairing_draw(n, rng)
-            if edges is not None:
-                return ProblemGraph(n=n, edges=edges, seed=seed)
-        attempt_seed += 1  # fresh stream, still deterministic in the inputs
+        edges = _pairing_draw(n, rng)
+        if edges is not None:
+            return ProblemGraph(n=n, edges=edges)
 
 
 def _basis_index(n: int, bitstring: str) -> int:
@@ -118,17 +112,6 @@ def _cuts(g: ProblemGraph, ks):
 def cut_value(g: ProblemGraph, bitstring: str) -> int:
     """Number of edges whose endpoints fall on opposite sides of the cut."""
     return _cuts(g, _basis_index(g.n, bitstring))
-
-
-def brute_force_max_cut(g: ProblemGraph) -> tuple[int, str]:
-    """Exhaustive maximum cut. Returns (value, one maximizing bitstring)."""
-    if g.n > MAX_BRUTE_FORCE_QUBITS:
-        raise InvalidInstanceError(
-            f"brute force capped at {MAX_BRUTE_FORCE_QUBITS} qubits, got {g.n}"
-        )
-    totals = _cuts(g, np.arange(1 << g.n, dtype=np.int64))
-    best = int(np.argmax(totals))
-    return int(totals[best]), format(best, f"0{g.n}b")
 
 
 @dataclass(frozen=True)

@@ -226,10 +226,8 @@ def compute_speedup(baseline: AggregateReport, variant: AggregateReport) -> Spee
     return SpeedupReport(overall=base_total / var_total, per_phase=per_phase, isolated=isolated)
 
 
-def schedule_speedup(t: TimingModel, circuit_seconds: float, shots: int = 1) -> float:
+def schedule_speedup(t: TimingModel, circuit_seconds: float) -> float:
     """Passive-to-active schedule-time ratio for a circuit of given length."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
     if circuit_seconds < 0:
         raise ValueError("circuit duration must be non-negative")
     return (t.passive_reset + circuit_seconds) / (t.active_reset + circuit_seconds)
@@ -309,6 +307,8 @@ def extrapolate(
         if len(shot_values) != 1 or None in shot_values:
             raise ValueError("reports disagree on shots; pass shots explicitly")
         shots = int(shot_values.pop())
+    if target_n < 1 or shots < 1:
+        raise ValueError(f"target and shots must be at least 1, got {target_n} and {shots}")
 
     swap_term_s = (
         swap_overhead_seconds(target_n, swap_fit, shots, DEFAULT_TIMING) if swap_fit else 0.0

@@ -144,6 +144,13 @@ class PowerLawFit:
     def evaluate(self, n: float) -> float:
         return self.a * float(n) ** self.b
 
+    @classmethod
+    def from_points(cls, points) -> "PowerLawFit":
+        """Fit the (n, mean, std) points of a SWAP study."""
+        points = tuple(points)
+        a, b, resid = fit_power_law([pt[0] for pt in points], [pt[1] for pt in points])
+        return cls(a=a, b=b, residual=resid, points=points)
+
 
 def fit_power_law(ns, means) -> tuple[float, float, float]:
     ns = np.asarray(ns, dtype=float)
@@ -189,5 +196,4 @@ def swap_scaling_experiment(
             counts.append(route(circuit, grid_layout(n)).swap_count)
         arr = np.asarray(counts, dtype=float)
         points.append((n, float(arr.mean()), float(arr.std())))
-    a, b, resid = fit_power_law([pt[0] for pt in points], [pt[1] for pt in points])
-    return PowerLawFit(a=a, b=b, residual=resid, points=tuple(points))
+    return PowerLawFit.from_points(points)

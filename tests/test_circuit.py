@@ -62,7 +62,6 @@ def test_qaoa_params_from_flat_derives_layer_count():
     assert p.p == 2
     assert p.gammas == (0.1, 0.2)
     assert p.betas == (0.3, 0.4)
-    assert p.flat() == (0.1, 0.2, 0.3, 0.4)
     with pytest.raises(ValueError):
         QaoaParams.from_flat((0.1, 0.2, 0.3))
     with pytest.raises(ValueError):

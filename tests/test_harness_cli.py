@@ -272,6 +272,16 @@ def test_parse_cluster_forms():
         parse_cluster("nohost")
     with pytest.raises(ValueError):
         parse_cluster(":80")
+    assert parse_cluster("127.0.0.1:65535") == ("127.0.0.1", 65535)
+    # out-of-range ports would otherwise wrap around to another service
+    for port in ("0", "65536", "102303"):
+        with pytest.raises(ValueError):
+            parse_cluster(f"127.0.0.1:{port}")
+
+
+def test_cli_serve_rejects_an_out_of_range_port(capsys):
+    assert main(["serve", "--bind", "127.0.0.1:70000"]) == 2
+    assert "65535" in capsys.readouterr().err
 
 
 def _run_args(out_dir: str, *extra: str) -> list[str]:
@@ -357,6 +367,18 @@ def test_cli_names_an_unknown_profile_key(tmp_path, capsys, config, named):
     assert named in capsys.readouterr().err
 
 
+def test_cli_run_dilation_defaults_to_the_profile(tmp_path):
+    profile = tmp_path / "cluster.json"
+    profile.write_text(json.dumps({"latency": {"dilation": 0.0}}))
+    for out, extra, expected in (("a", (), 0.0), ("b", ("--dilation", "0.5"), 0.5)):
+        assert main(_run_args(str(tmp_path / out), "--profile", str(profile), *extra)) == 0
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        report = json.loads((tmp_path / out / "report_3q.json").read_text())
+        assert summary["config"]["dilation"] == expected
+        assert summary["config"]["profile"]["dilation"] == expected
+        assert report["meta"]["dilation"] == expected
+
+
 def test_cli_reports_unreachable_clusters(capsys):
     import socket
 
@@ -405,6 +427,16 @@ def test_cli_swaps_and_extrapolate_pipeline(tmp_path, capsys):
     code = main(["extrapolate", "--in", str(reports), "--target", "3", "--no-swap"])
     assert code == 0
     assert "inside the measured range" in capsys.readouterr().out
+
+    # --swap-fit wins over --no-swap
+    assert main(["extrapolate", "--in", str(reports), "--target", "50",
+                 "--swap-fit", str(study), "--no-swap"]) == 0
+    assert capsys.readouterr().out.splitlines() == table.read_text().splitlines()
+
+    for bad in (("--target", "-5"), ("--target", "50", "--shots", "-3")):
+        code = main(["extrapolate", "--in", str(reports), "--swap-fit", str(study), *bad])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cli_extrapolate_requires_reports(tmp_path):

@@ -98,8 +98,6 @@ def test_config_validation():
         OptimizerConfig(bounds=((1.0, 1.0),))
     with pytest.raises(ValueError):
         OptimizerConfig(bounds=((0.0, 1.0),), sample_budget=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(bounds=((0.0, 1.0),), stall_window=0)
 
 
 def test_trace_is_a_frozen_record():

@@ -11,7 +11,6 @@ from qprofile.problem import (
     InvalidInstanceError,
     ProblemGraph,
     ShotCounts,
-    brute_force_max_cut,
     cut_value,
     generate_instance,
     score,
@@ -81,27 +80,6 @@ def test_cut_value_validates_bitstrings():
         cut_value(g, "001")
     with pytest.raises(ValueError):
         cut_value(g, "00a1")
-
-
-def test_brute_force_max_cut_on_the_four_qubit_complete_graph():
-    g = generate_instance(4, seed=0)
-    best, bits = brute_force_max_cut(g)
-    assert best == 4
-    assert cut_value(g, bits) == 4
-
-
-def test_brute_force_matches_exhaustive_scan():
-    g = generate_instance(6, seed=9)
-    best, _ = brute_force_max_cut(g)
-    scan = max(cut_value(g, format(k, "06b")) for k in range(64))
-    assert best == scan
-
-
-def test_brute_force_rejects_oversized_instances():
-    edges = tuple((i, i + 1) for i in range(25))
-    g = ProblemGraph(n=26, edges=edges)
-    with pytest.raises(InvalidInstanceError):
-        brute_force_max_cut(g)
 
 
 def test_shot_counts_validation():

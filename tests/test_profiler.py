@@ -173,7 +173,7 @@ def test_schedule_speedup_limits():
     assert schedule_speedup(t, 5e-6) == 1.0
     assert schedule_speedup(TimingModel(), 1.0) < 1.001
     with pytest.raises(ValueError):
-        schedule_speedup(TimingModel(), 1e-6, shots=0)
+        schedule_speedup(TimingModel(), -1e-6)
 
 
 def test_linear_fit_reference_line():
@@ -273,6 +273,12 @@ def test_extrapolation_input_guards():
     )
     with pytest.raises(ValueError):
         extrapolate(broken, 50)
+    # a non-positive target or shot count has no runtime: (-5) ** b is complex
+    for target, shots in ((0, None), (-5, None), (50, 0), (50, -3)):
+        with pytest.raises(ValueError):
+            extrapolate(reports, target, shots=shots)
+    with pytest.raises(ValueError):
+        extrapolate(_linear_reports((4, 6, 8), LAWS, shots=0), 50)
 
 
 def test_extrapolation_needs_consistent_shots():

@@ -98,6 +98,12 @@ def test_latency_profile_defaults_and_prepare_formula():
     assert z.dilation == 0.0
     with pytest.raises(ValueError):
         LatencyProfile(stop_ms=-1.0)
+    # a NaN dilation would leave the cluster running forever
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dilation"):
+            LatencyProfile.zeroed(dilation=value)
+        with pytest.raises(ValueError, match="start_ms"):
+            LatencyProfile(start_ms=value)
 
 
 def test_phase_nominals_follow_the_job_and_the_prepare_mode(k4_job):
