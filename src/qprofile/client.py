@@ -4,13 +4,12 @@ Runs the per-iteration command sequence stop -> prepare -> start ->
 wait-done -> retrieve -> stop against one cluster. The clock is read once at
 each phase boundary, so the six phases are contiguous and sum to the
 iteration's measured wall time. Program uploads go either sequentially over
-the main connection or in parallel with one dedicated connection per upload
-stream (connections are reused across iterations).
+the main connection or in parallel with one connection per program file
+(connections are reused across iterations).
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import socket
 import time
@@ -24,7 +23,6 @@ POLL_INTERVAL_S = 0.001
 CONNECT_TIMEOUT_S = 10.0
 # wait_done gives up this long after the schedule's nominal duration
 WAIT_TIMEOUT_S = 120.0
-MAX_PARALLEL_STREAMS = 32
 
 
 class TransportError(Exception):
@@ -125,7 +123,7 @@ def _prepare_request(f: ProgramFile, job: CompiledJob) -> dict:
         "cmd": "prepare",
         "module": f.module,
         "seq": f.sequencer,
-        "program": base64.b64encode(f.text.encode("utf-8")).decode("ascii"),
+        "program": f.text,
         "meta": {
             "qubit": f.qubit,
             "shots": job.shots,
@@ -143,7 +141,6 @@ class ClusterClient:
         self._main = ClusterConnection(host, port)
         self._streams: list[ClusterConnection] = []
         self._pool: ThreadPoolExecutor | None = None
-        self._pool_size = 0
 
     # -- single commands ----------------------------------------------------
 
@@ -161,50 +158,31 @@ class ClusterClient:
 
     # -- prepare ------------------------------------------------------------
 
-    def _stream(self, index: int) -> ClusterConnection:
-        while len(self._streams) <= index:
-            self._streams.append(ClusterConnection(self.host, self.port))
-        return self._streams[index]
-
-    def prepare_sequential(self, job: CompiledJob) -> float:
-        t0 = time.perf_counter()
-        for f in job.files:
-            self._main.request(_prepare_request(f, job))
-        return time.perf_counter() - t0
-
-    def prepare_parallel(self, job: CompiledJob) -> float:
-        """Upload every program file concurrently, one connection each."""
-        files = job.files
-        workers = min(len(files), MAX_PARALLEL_STREAMS)
-        for i in range(workers):
-            self._stream(i)  # connect outside the window timed here
-        if self._pool_size < workers:
+    def prepare(self, job: CompiledJob, mode: str) -> None:
+        """Upload every program file, in turn over the main connection
+        (sequential) or all at once over one reused stream per file (parallel)."""
+        if mode == "sequential":
+            for f in job.files:
+                self._main.request(_prepare_request(f, job))
+            return
+        if mode != "parallel":
+            raise ValueError(f"unknown prepare mode {mode!r}")
+        if len(self._streams) < len(job.files):
+            for _ in range(len(job.files) - len(self._streams)):
+                self._streams.append(ClusterConnection(self.host, self.port))
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-            self._pool_size = workers
-
-        def upload(slot: int) -> None:
-            conn = self._streams[slot]
-            for f in files[slot::workers]:
-                conn.request(_prepare_request(f, job))
-
-        t0 = time.perf_counter()
-        futures = [self._pool.submit(upload, slot) for slot in range(workers)]
+            self._pool = ThreadPoolExecutor(max_workers=len(self._streams))
+        futures = [
+            self._pool.submit(conn.request, _prepare_request(f, job))
+            for conn, f in zip(self._streams, job.files)
+        ]
         try:
             for fut in futures:
                 fut.result()
         except Exception:
             self._best_effort_stop()
             raise
-        return time.perf_counter() - t0
-
-    def prepare(self, job: CompiledJob, mode: str) -> float:
-        if mode == "sequential":
-            return self.prepare_sequential(job)
-        if mode == "parallel":
-            return self.prepare_parallel(job)
-        raise ValueError(f"unknown prepare mode {mode!r}")
 
     # -- full iteration -----------------------------------------------------
 
@@ -239,8 +217,8 @@ class ClusterClient:
     def run_iteration(self, job: CompiledJob, prepare_mode: str = "sequential"):
         """One full cycle. Returns (AcquisitionData, IterationTimings).
 
-        Each phase runs from one clock stamp to the next. The first parallel
-        prepare therefore includes opening the upload streams.
+        Each phase runs from one clock stamp to the next, so a parallel
+        prepare includes opening any upload streams it adds.
         """
         try:
             stamps = [time.perf_counter()]
@@ -274,7 +252,6 @@ class ClusterClient:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
             self._pool = None
-            self._pool_size = 0
         for conn in [self._main, *self._streams]:
             conn.close()
         self._streams = []

@@ -9,7 +9,7 @@ realistic stack behavior without hardware.
 Commands:
 
     {"cmd": "stop"}
-    {"cmd": "prepare", "module": M, "seq": S, "program": <base64>,
+    {"cmd": "prepare", "module": M, "seq": S, "program": <text>,
      "meta": {"qubit": Q, "shots": N, "schedule_s": T}}
     {"cmd": "start"}
     {"cmd": "status"}
@@ -17,14 +17,12 @@ Commands:
 
 Replies are {"ok": true, ...} or {"ok": false, "error": code, "msg": ...}
 with error codes bad_frame, bad_state, unknown_target. A prepare with an
-invalid meta, like malformed JSON in a well-delimited frame, gets a
+invalid meta, like a well-delimited frame that is not UTF-8 JSON, gets a
 bad_frame reply; the sequencer stays idle and the connection stays open.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
 import signal
@@ -237,18 +235,18 @@ class ClusterService:
             self.state.start_pending = False
         return {"ok": True, "state": "idle"}
 
-    def handle_prepare(self, module: str, seq_id, program_b64, meta) -> dict:
-        if not isinstance(module, str) or not isinstance(seq_id, int):
+    def handle_prepare(self, module: str, seq_id, program, meta) -> dict:
+        if not isinstance(module, str) or type(seq_id) is not int:
             return _err("bad_frame", "prepare needs string module and integer seq")
         key = (module, seq_id)
         if key not in self.state.seqs:
             return _err("unknown_target", f"no sequencer {seq_id} on module {module!r}")
-        if not isinstance(program_b64, str):
-            return _err("bad_frame", "program must be base64 text")
+        if not isinstance(program, str):
+            return _err("bad_frame", "program must be text")
         try:
-            program = base64.b64decode(program_b64.encode("ascii"), validate=True)
-        except (binascii.Error, ValueError):
-            return _err("bad_frame", "program is not valid base64")
+            program_bytes = len(program.encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate escape such as "\ud800"
+            return _err("bad_frame", "program is not valid UTF-8 text")
         problem = _meta_problem(meta)
         if problem:
             return _err("bad_frame", problem)
@@ -260,7 +258,7 @@ class ClusterService:
 
         with self.state.prepare_gate:
             time.sleep(self.profile.prepare_serial_ms * 1e-3)
-        time.sleep((self.profile.prepare_ms(len(program)) - self.profile.prepare_serial_ms) * 1e-3)
+        time.sleep((self.profile.prepare_ms(program_bytes) - self.profile.prepare_serial_ms) * 1e-3)
 
         with self.state.lock:
             seq = self.state.seqs[key]

@@ -81,6 +81,8 @@ class BenchmarkConfig:
     def __post_init__(self):
         if not self.qubits:
             raise ValueError("need at least one qubit count")
+        if len(set(self.qubits)) < len(self.qubits):
+            raise ValueError(f"qubit counts must not repeat, got {self.qubits}")
         for n in self.qubits:
             if not 2 <= n <= MAX_SIM_QUBITS:
                 raise ValueError(f"qubit count {n} outside supported range 2..{MAX_SIM_QUBITS}")

@@ -44,7 +44,7 @@ def recv_frame(sock: socket.socket):
     """Read one frame. Returns the decoded object, or None on clean EOF.
 
     Raises FrameError on truncation or an oversize length prefix, and
-    json.JSONDecodeError on a well-framed but malformed payload.
+    json.JSONDecodeError on a well-framed payload that is not UTF-8 JSON.
     """
     header = _recv_exact(sock, _LEN.size)
     if header is None:
@@ -55,4 +55,8 @@ def recv_frame(sock: socket.socket):
     payload = _recv_exact(sock, length)
     if payload is None:
         raise FrameError("connection closed mid-frame")
-    return json.loads(payload.decode("utf-8"))
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise json.JSONDecodeError(f"payload is not UTF-8 ({exc.reason})", "", 0) from exc
+    return json.loads(text)

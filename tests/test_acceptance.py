@@ -186,13 +186,19 @@ def test_criterion_05_job_size_scaling_and_prepare_ratio(capsys):
     host, port = service.start()
     try:
         with ClusterClient(host, port) as client:
-            client.prepare_parallel(jobs[14])  # warm the stream pool
+
+            def timed_prepare(mode: str) -> float:
+                t0 = time.perf_counter()
+                client.prepare(jobs[14], mode)
+                return time.perf_counter() - t0
+
+            client.prepare(jobs[14], "parallel")  # warm the stream pool
             seq_times, par_times = [], []
             for _ in range(3):
                 client.stop()
-                seq_times.append(client.prepare_sequential(jobs[14]))
+                seq_times.append(timed_prepare("sequential"))
                 client.stop()
-                par_times.append(client.prepare_parallel(jobs[14]))
+                par_times.append(timed_prepare("parallel"))
             client.stop()
     finally:
         service.shutdown()

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import socket
+import struct
+import threading
 
 import pytest
 
+from qprofile import wire
 from qprofile.circuit import QaoaParams, build_qaoa
 from qprofile.client import ClusterClient, ProtocolError, TransportError
+from qprofile.cluster import ClusterService, LatencyProfile, Topology
 from qprofile.compiler import compile as compile_job
 from qprofile.problem import generate_instance
 
@@ -54,6 +58,16 @@ def test_parallel_prepare_round_trip(zeroed_service, k4_job):
         assert sorted(acquisition2.bits) == [0, 1, 2, 3]
 
 
+def test_parallel_prepare_arms_every_sequencer_of_a_large_job():
+    job = _job(20, shots=10)
+    assert len(job.files) == 40
+    with ClusterService(LatencyProfile.zeroed(), Topology.for_qubits(20), noise_seed=3) as svc:
+        with ClusterClient(*svc.address) as client:
+            client.prepare(job, "parallel")
+        armed = {key for key, seq in svc.state.seqs.items() if seq.status == "armed"}
+    assert armed == {(f.module, f.sequencer) for f in job.files}
+
+
 def test_multi_module_retrieve(zeroed_service):
     _, host, port = zeroed_service
     job = _job(8, shots=50)
@@ -87,3 +101,24 @@ def test_transport_error_on_refused_connection():
     probe.close()
     with pytest.raises(TransportError):
         ClusterClient("127.0.0.1", free_port)
+
+
+def test_undecodable_reply_is_a_transport_error():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def reply_with_non_utf8():
+        conn, _ = listener.accept()
+        with conn:
+            wire.recv_frame(conn)
+            conn.sendall(struct.pack("!I", 3) + b"\xff\xfe\x00")
+
+    server = threading.Thread(target=reply_with_non_utf8, daemon=True)
+    server.start()
+    try:
+        with ClusterClient(*listener.getsockname()) as client:
+            with pytest.raises(TransportError):
+                client.status()
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    assert not server.is_alive()

@@ -57,6 +57,8 @@ def test_config_validation():
         BenchmarkConfig(qubits=(1,))
     with pytest.raises(ValueError):
         BenchmarkConfig(qubits=(25,))
+    with pytest.raises(ValueError, match="repeat"):
+        BenchmarkConfig(qubits=(4, 6, 4))
     with pytest.raises(ValueError):
         BenchmarkConfig(reset="warm")
     with pytest.raises(ValueError):

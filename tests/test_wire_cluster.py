@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import base64
 import json
 import socket
 import struct
@@ -160,7 +159,7 @@ def _prepare_cmd(module="cm0", seq=0, schedule_s=0.0, qubit=0):
         "cmd": "prepare",
         "module": module,
         "seq": seq,
-        "program": base64.b64encode(b"move R0,1\nstop\n").decode(),
+        "program": "move R0,1\nstop\n",
         "meta": {"qubit": qubit, "shots": 5, "schedule_s": schedule_s},
     }
 
@@ -213,8 +212,11 @@ def test_bad_frames_are_reported():
     assert svc.dispatch("status")["error"] == "bad_frame"
     assert svc.dispatch({"cmd": "warp"})["error"] == "bad_frame"
     assert svc.dispatch({"cmd": "prepare", "module": 3, "seq": "x"})["error"] == "bad_frame"
-    bad_b64 = dict(_prepare_cmd(), program="!!not base64!!")
-    assert svc.dispatch(bad_b64)["error"] == "bad_frame"
+    as_bool = svc.dispatch(_prepare_cmd(seq=True))
+    assert as_bool["error"] == "bad_frame" and "integer seq" in as_bool["msg"]
+    for program in (42, None, ["stop"], "\ud800"):
+        assert svc.dispatch(dict(_prepare_cmd(), program=program))["error"] == "bad_frame"
+    assert {s.status for s in svc.state.seqs.values()} == {"idle"}
 
 
 @pytest.mark.parametrize(
@@ -275,6 +277,16 @@ def test_malformed_json_gets_a_reply_and_the_connection_survives(zeroed_service)
         sock.sendall(struct.pack("!I", len(bad)) + bad)
         reply = wire.recv_frame(sock)
         assert reply == {"ok": False, "error": "bad_frame", "msg": "payload is not valid JSON"}
+        wire.send_frame(sock, {"cmd": "status"})
+        assert wire.recv_frame(sock)["ok"]
+
+
+def test_non_utf8_payload_gets_a_reply_and_the_connection_survives(zeroed_service):
+    _, host, port = zeroed_service
+    with socket.create_connection((host, port), timeout=5) as sock:
+        bad = b"\xff\xfe\x00{}"
+        sock.sendall(struct.pack("!I", len(bad)) + bad)
+        assert wire.recv_frame(sock)["error"] == "bad_frame"
         wire.send_frame(sock, {"cmd": "status"})
         assert wire.recv_frame(sock)["ok"]
 
