@@ -5,12 +5,15 @@ wait-done -> retrieve -> stop against one cluster. The clock is read once at
 each phase boundary, so the six phases are contiguous and sum to the
 iteration's measured wall time. Program uploads go either sequentially over
 the main connection or in parallel with one connection per program file
-(connections are reused across iterations).
+(connections are reused across iterations). The start reply announces, in
+done_in_s, how long the schedule has left to run; wait-done sleeps that long
+and then confirms with status, which normally takes one request.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +24,7 @@ from .compiler import CompiledJob, ProgramFile
 
 POLL_INTERVAL_S = 0.001
 CONNECT_TIMEOUT_S = 10.0
-# wait_done gives up this long after the schedule's nominal duration
+# wait_done gives up this long after the announced done time
 WAIT_TIMEOUT_S = 120.0
 
 
@@ -118,6 +121,15 @@ class ClusterConnection:
             pass
 
 
+def _done_in_s(reply: dict) -> float:
+    """The start reply's done_in_s. Raises TransportError unless it is a
+    finite non-negative number (JSON booleans are not numbers here)."""
+    value = reply.get("done_in_s")
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise TransportError(f"start reply needs a finite non-negative done_in_s, got {value!r}")
+    return float(value)
+
+
 def _prepare_request(f: ProgramFile, job: CompiledJob) -> dict:
     return {
         "cmd": "prepare",
@@ -186,9 +198,13 @@ class ClusterClient:
 
     # -- full iteration -----------------------------------------------------
 
-    def wait_done(self, schedule_nominal_s: float) -> None:
-        """Poll status at 1 ms until the cluster reports done."""
-        deadline = time.perf_counter() + WAIT_TIMEOUT_S + schedule_nominal_s
+    def wait_done(self, done_in_s: float) -> None:
+        """Sleep for done_in_s, the time the start reply said the schedule had
+        left, then poll status every POLL_INTERVAL_S until the cluster reports
+        done. The first status normally finds it done. Gives up WAIT_TIMEOUT_S
+        after the announced done time."""
+        deadline = time.perf_counter() + done_in_s + WAIT_TIMEOUT_S
+        time.sleep(done_in_s)
         while True:
             state = self.status()["state"]
             if state == "done":
@@ -226,9 +242,9 @@ class ClusterClient:
             stamps.append(time.perf_counter())
             self.prepare(job, prepare_mode)
             stamps.append(time.perf_counter())
-            self.start()
+            done_in_s = _done_in_s(self.start())
             stamps.append(time.perf_counter())
-            self.wait_done(job.schedule_seconds)
+            self.wait_done(done_in_s)
             stamps.append(time.perf_counter())
             acquisition = self.retrieve_all(job)
             stamps.append(time.perf_counter())

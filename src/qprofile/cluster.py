@@ -16,9 +16,14 @@ Commands:
     {"cmd": "retrieve", "module": M}
 
 Replies are {"ok": true, ...} or {"ok": false, "error": code, "msg": ...}
-with error codes bad_frame, bad_state, unknown_target. A prepare with an
-invalid meta, like a well-delimited frame that is not UTF-8 JSON, gets a
-bad_frame reply; the sequencer stays idle and the connection stays open.
+with error codes bad_frame, bad_state, unknown_target. A start reply is
+{"ok": true, "state": "running", "done_in_s": T}, where T is the time left,
+in seconds, until the schedule completes (schedule x dilation plus
+done_finalize_ms, counted from when the schedule began running); status
+reports done from then on. A prepare with an invalid meta, like a
+well-delimited frame that is not UTF-8 JSON or nests too deeply to decode,
+gets a bad_frame reply; the sequencer stays idle and the connection stays
+open.
 """
 
 from __future__ import annotations
@@ -285,12 +290,9 @@ class ClusterService:
             schedule_s = max(s.meta["schedule_s"] for s in armed)
             for s in armed:
                 s.status = "running"
-            self.state.done_at = (
-                time.monotonic()
-                + schedule_s * self.profile.dilation
-                + self.profile.done_finalize_ms * 1e-3
-            )
-        return {"ok": True, "state": "running"}
+            done_in_s = schedule_s * self.profile.dilation + self.profile.done_finalize_ms * 1e-3
+            self.state.done_at = time.monotonic() + done_in_s
+        return {"ok": True, "state": "running", "done_in_s": done_in_s}
 
     def handle_status(self) -> dict:
         with self.state.lock:

@@ -44,7 +44,8 @@ def recv_frame(sock: socket.socket):
     """Read one frame. Returns the decoded object, or None on clean EOF.
 
     Raises FrameError on truncation or an oversize length prefix, and
-    json.JSONDecodeError on a well-framed payload that is not UTF-8 JSON.
+    json.JSONDecodeError on a well-framed payload that is not UTF-8 JSON,
+    including one nested too deeply for the decoder.
     """
     header = _recv_exact(sock, _LEN.size)
     if header is None:
@@ -59,4 +60,7 @@ def recv_frame(sock: socket.socket):
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise json.JSONDecodeError(f"payload is not UTF-8 ({exc.reason})", "", 0) from exc
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise json.JSONDecodeError("payload nests too deeply", "", 0) from exc

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import socket
 import struct
 import threading
 
 import pytest
 
+from qprofile import client as qclient
 from qprofile import wire
 from qprofile.circuit import QaoaParams, build_qaoa
 from qprofile.client import ClusterClient, ProtocolError, TransportError
@@ -45,6 +48,49 @@ def test_phase_timings_cover_the_wall_clock(zeroed_service, k4_job, prepare_mode
         t.stop_s + t.prepare_s + t.start_s + t.wait_done_wall_s + t.retrieve_s + t.final_stop_s
     )
     assert phase_sum == t.wall_total_s  # no hidden gaps between phases
+
+
+def test_wait_done_sleeps_to_the_announced_done_time():
+    profile = dataclasses.replace(
+        LatencyProfile.zeroed(dilation=1.0), stop_ms=1.0, start_ms=5.0, retrieve_ms=2.0,
+        done_finalize_ms=60.0,
+    )
+    job = _job(4, shots=50)
+    commands = []
+    with ClusterService(profile, Topology.for_qubits(4), noise_seed=5) as svc:
+        dispatch = svc.dispatch
+
+        def counted(request):
+            commands.append(request.get("cmd"))
+            return dispatch(request)
+
+        svc.dispatch = counted
+        with ClusterClient(*svc.address) as client:
+            acquisition, t = client.run_iteration(job)
+    assert commands.count("status") <= 2
+    assert commands.count("retrieve") == 1
+    assert sorted(acquisition.bits) == [0, 1, 2, 3]
+    assert all(len(bits) == 50 for bits in acquisition.bits.values())
+    # the server starts the done clock before its start reply, so start and
+    # wait_done together cover the start latency and the announced wait
+    wanted_s = (
+        profile.start_ms / 1e3 + job.schedule_seconds * profile.dilation
+        + profile.done_finalize_ms / 1e3
+    )
+    assert t.start_s + t.wait_done_wall_s >= wanted_s
+
+
+def test_wait_done_timeout_counts_from_the_announced_done_time(monkeypatch):
+    # 150 ms of finalize, which dilation 0 leaves out of the schedule share,
+    # outlasts a 50 ms timeout counted from the start reply
+    monkeypatch.setattr(qclient, "WAIT_TIMEOUT_S", 0.05)
+    profile = dataclasses.replace(LatencyProfile.zeroed(), done_finalize_ms=150.0)
+    job = _job(4, shots=10)
+    with ClusterService(profile, Topology.for_qubits(4), noise_seed=5) as svc:
+        with ClusterClient(*svc.address) as client:
+            acquisition, t = client.run_iteration(job)
+    assert sorted(acquisition.bits) == [0, 1, 2, 3]
+    assert t.start_s + t.wait_done_wall_s >= 0.15
 
 
 def test_parallel_prepare_round_trip(zeroed_service, k4_job):
@@ -103,22 +149,62 @@ def test_transport_error_on_refused_connection():
         ClusterClient("127.0.0.1", free_port)
 
 
-def test_undecodable_reply_is_a_transport_error():
+def _serve_one_connection(reply):
+    """A fake cluster on an ephemeral port that serves one connection,
+    answering each request with the raw payload reply(request) returns."""
     listener = socket.create_server(("127.0.0.1", 0))
 
-    def reply_with_non_utf8():
+    def serve():
         conn, _ = listener.accept()
         with conn:
-            wire.recv_frame(conn)
-            conn.sendall(struct.pack("!I", 3) + b"\xff\xfe\x00")
+            while (request := wire.recv_frame(conn)) is not None:
+                payload = reply(request)
+                conn.sendall(struct.pack("!I", len(payload)) + payload)
 
-    server = threading.Thread(target=reply_with_non_utf8, daemon=True)
+    server = threading.Thread(target=serve, daemon=True)
     server.start()
+    return listener, server
+
+
+def test_undecodable_reply_is_a_transport_error():
+    # not UTF-8, then nested too deeply for the decoder
+    payloads = iter([b"\xff\xfe\x00", b"[" * 100_000])
+    listener, server = _serve_one_connection(lambda request: next(payloads))
     try:
         with ClusterClient(*listener.getsockname()) as client:
-            with pytest.raises(TransportError):
-                client.status()
+            for _ in range(2):
+                with pytest.raises(TransportError):
+                    client.status()
     finally:
         server.join(timeout=5)
         listener.close()
     assert not server.is_alive()
+
+
+@pytest.mark.parametrize(
+    "announced",
+    [{}, {"done_in_s": True}, {"done_in_s": "0.1"}, {"done_in_s": None}, {"done_in_s": -0.5},
+     {"done_in_s": float("nan")}, {"done_in_s": float("inf")}],
+    ids=["missing", "bool", "text", "null", "negative", "nan", "inf"],
+)
+def test_start_reply_without_a_valid_done_in_s_is_a_transport_error(k4_job, announced):
+    commands = []
+
+    def reply(request):
+        commands.append(request["cmd"])
+        if request["cmd"] == "start":
+            return json.dumps({"ok": True, "state": "running", **announced}).encode()
+        return b'{"ok": true, "state": "idle"}'
+
+    listener, server = _serve_one_connection(reply)
+    try:
+        with ClusterClient(*listener.getsockname()) as client:
+            with pytest.raises(TransportError, match="done_in_s"):
+                client.run_iteration(k4_job)
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    assert not server.is_alive()
+    # the client neither waited nor polled; it stopped the cluster instead
+    assert commands[-2:] == ["start", "stop"]
+    assert "status" not in commands

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import socket
 import struct
 import time
@@ -76,10 +78,11 @@ def test_oversize_payload_refused_on_send():
 def test_malformed_json_in_a_valid_frame_raises_decode_error():
     a, b = _pair()
     try:
-        bad = b"{not json"
-        a.sendall(struct.pack("!I", len(bad)) + bad)
-        with pytest.raises(json.JSONDecodeError):
-            wire.recv_frame(b)
+        # the second payload nests too deeply for the decoder
+        for bad in (b"{not json", b"[" * 100_000):
+            a.sendall(struct.pack("!I", len(bad)) + bad)
+            with pytest.raises(json.JSONDecodeError):
+                wire.recv_frame(b)
     finally:
         a.close()
         b.close()
@@ -258,6 +261,30 @@ def test_retrieve_returns_only_the_sequencers_that_ran():
         assert sorted(reply["bits"]) == [str(q) for q in cycle_qubits]
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        LatencyProfile.zeroed(),
+        dataclasses.replace(LatencyProfile.zeroed(dilation=1.0), start_ms=2.0, done_finalize_ms=5.0),
+        dataclasses.replace(LatencyProfile.zeroed(dilation=3.0), done_finalize_ms=1.0),
+    ],
+    ids=["zeroed", "dilation-1", "dilation-3"],
+)
+def test_start_reply_announces_the_time_left_until_done(profile):
+    svc = ClusterService(profile, Topology(), noise_seed=1)
+    for schedule_s in (0.0, 0.002, 0.004):
+        svc.dispatch({"cmd": "stop"})
+        assert svc.dispatch(_prepare_cmd("cm0", 0, schedule_s=schedule_s))["ok"]
+        assert svc.dispatch(_prepare_cmd("rm0", 0, schedule_s=schedule_s / 2))["ok"]
+        started = svc.dispatch({"cmd": "start"})
+        assert started["ok"]
+        done_in_s = started["done_in_s"]
+        # the longest armed schedule sets the done time
+        upper = schedule_s * profile.dilation + profile.done_finalize_ms / 1e3
+        assert type(done_in_s) is float and math.isfinite(done_in_s)
+        assert 0.0 <= done_in_s <= upper
+
+
 def test_stop_resets_everything():
     svc = _service()
     svc.dispatch(_prepare_cmd())
@@ -273,12 +300,13 @@ def test_stop_resets_everything():
 def test_malformed_json_gets_a_reply_and_the_connection_survives(zeroed_service):
     _, host, port = zeroed_service
     with socket.create_connection((host, port), timeout=5) as sock:
-        bad = b'{"cmd": '
-        sock.sendall(struct.pack("!I", len(bad)) + bad)
-        reply = wire.recv_frame(sock)
-        assert reply == {"ok": False, "error": "bad_frame", "msg": "payload is not valid JSON"}
-        wire.send_frame(sock, {"cmd": "status"})
-        assert wire.recv_frame(sock)["ok"]
+        # the second payload nests too deeply for the decoder
+        for bad in (b'{"cmd": ', b"[" * 100_000):
+            sock.sendall(struct.pack("!I", len(bad)) + bad)
+            reply = wire.recv_frame(sock)
+            assert reply == {"ok": False, "error": "bad_frame", "msg": "payload is not valid JSON"}
+            wire.send_frame(sock, {"cmd": "status"})
+            assert wire.recv_frame(sock)["ok"]
 
 
 def test_non_utf8_payload_gets_a_reply_and_the_connection_survives(zeroed_service):
