@@ -239,7 +239,8 @@ def schedule_moments(c: Circuit, t: TimingModel) -> list[tuple[float, list[Gate]
         while len(moments) <= m:
             moments.append((0.0, []))
         dur, gates = moments[m]
-        moments[m] = (max(dur, gate_duration(g, t)), gates + [g])
+        gates.append(g)
+        moments[m] = (max(dur, gate_duration(g, t)), gates)
         for q in g.qubits:
             free_at[q] = m + 1
     return moments

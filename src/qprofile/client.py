@@ -16,7 +16,7 @@ import json
 import math
 import socket
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from . import wire
@@ -172,7 +172,9 @@ class ClusterClient:
 
     def prepare(self, job: CompiledJob, mode: str) -> None:
         """Upload every program file, in turn over the main connection
-        (sequential) or all at once over one reused stream per file (parallel)."""
+        (sequential) or all at once over one reused stream per file (parallel).
+        A parallel prepare returns or raises its first error only once every
+        upload has finished."""
         if mode == "sequential":
             for f in job.files:
                 self._main.request(_prepare_request(f, job))
@@ -189,12 +191,9 @@ class ClusterClient:
             self._pool.submit(conn.request, _prepare_request(f, job))
             for conn, f in zip(self._streams, job.files)
         ]
-        try:
-            for fut in futures:
-                fut.result()
-        except Exception:
-            self._best_effort_stop()
-            raise
+        wait(futures)  # no upload may arm a sequencer after a failure is raised
+        for fut in futures:
+            fut.result()
 
     # -- full iteration -----------------------------------------------------
 

@@ -225,7 +225,6 @@ class ClusterService:
         self.state = ClusterState(self.topology)
         seed = noise_seed if noise_seed is not None else time.time_ns()
         self._noise = np.random.Generator(np.random.Philox(key=mix_seed(seed, 0xAC)))
-        self._noise_lock = threading.Lock()
         self._server: socketserver.ThreadingTCPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -314,13 +313,12 @@ class ClusterService:
             bits: dict[str, list[int]] = {}
             raw: dict[str, list[float]] = {}
             shots = 0
-            with self._noise_lock:
-                for meta in ran:
-                    shots = max(shots, meta["shots"])
-                    draw = self._noise.integers(0, 2, size=meta["shots"])
-                    bits[str(meta["qubit"])] = [int(b) for b in draw]
-                    iq = self._noise.normal(0.0, 1.0, size=2)
-                    raw[str(meta["qubit"])] = [round(float(iq[0]), 6), round(float(iq[1]), 6)]
+            for meta in ran:  # the state lock also serialises the noise stream
+                shots = max(shots, meta["shots"])
+                draw = self._noise.integers(0, 2, size=meta["shots"])
+                bits[str(meta["qubit"])] = [int(b) for b in draw]
+                iq = self._noise.normal(0.0, 1.0, size=2)
+                raw[str(meta["qubit"])] = [round(float(iq[0]), 6), round(float(iq[1]), 6)]
         return {"ok": True, "shots": shots, "bits": bits, "raw": raw}
 
     # -- dispatch -----------------------------------------------------------

@@ -24,6 +24,11 @@ Instruction set (one per line, every timed op advances the cursor):
     loop <label>,R<k>     decrement register, branch back while nonzero
     stop                  halt the sequencer
 
+Compilation walks the ASAP schedule (circuit.schedule_moments) once and
+gives each gate, with its start time in whole nanoseconds, to every qubit it
+touches. Each program is then written from its own qubit's list alone: a
+single wait covers each idle stretch, and consecutive idle moments merge.
+
 Rotations are realized as a frame set followed by a fixed calibrated pulse
 (RX) or by the frame set alone (RZ). Two-qubit gates are timed on both
 participants but have no dedicated pulse program. Reset is a fixed wait at
@@ -36,7 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, schedule_moments
+from .circuit import Circuit, Gate, schedule_moments
 from .timing import DEFAULT_TIMING, TimingModel
 
 ENVELOPE_SAMPLES = 40
@@ -106,14 +111,6 @@ class CompiledJob:
     schedule_seconds: float
     files: tuple[ProgramFile, ...]
 
-    @property
-    def control_programs(self) -> dict[int, str]:
-        return {f.qubit: f.text for f in self.files if f.role == "control"}
-
-    @property
-    def readout_programs(self) -> dict[int, str]:
-        return {f.qubit: f.text for f in self.files if f.role == "readout"}
-
     def readout_modules(self) -> tuple[str, ...]:
         return tuple(sorted({f.module for f in self.files if f.role == "readout"}))
 
@@ -133,78 +130,42 @@ def _fmt_deg(theta: float) -> str:
     return f"{math.degrees(theta):.4f}"
 
 
-class _OpWriter:
-    """Accumulates schedule lines, merging consecutive waits."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self._pending_wait = 0
-
-    def wait(self, ns: int):
-        if ns > 0:
-            self._pending_wait += ns
-
-    def _flush(self):
-        if self._pending_wait > 0:
-            self.lines.append(f"wait {self._pending_wait}")
-            self._pending_wait = 0
-
-    def emit(self, line: str):
-        self._flush()
-        self.lines.append(line)
-
-    def done(self) -> list[str]:
-        self._flush()
-        return self.lines
-
-
-def _qubit_timeline(
-    writer: _OpWriter,
-    q: int,
-    role: str,
-    moments,
-    t: TimingModel,
-    used: set[str],
-):
-    for dur, gates in moments:
-        dur_ns = _ns(dur)
-        mine = next((g for g in gates if q in g.qubits), None)
-        if mine is None or role == "control" and mine.kind == "MEASURE":
-            writer.wait(dur_ns)
-            continue
-        if role == "readout":
-            if mine.kind == "MEASURE":
-                used.update(("ro_i", "ro_q"))
-                writer.emit(f"acquire 0,{_ns(t.measurement)}")
-                writer.wait(dur_ns - _ns(t.measurement))
-            else:
-                writer.wait(dur_ns)
-            continue
-        if mine.kind == "H":
-            used.update(("h_i", "h_q"))
-            writer.emit(f"play h_i,h_q,{_ns(t.gate_1q)}")
-            writer.wait(dur_ns - _ns(t.gate_1q))
-        elif mine.kind == "RX":
-            used.update(("rx_i", "rx_q"))
-            writer.emit(f"set_phase {_fmt_deg(mine.theta)}")
-            writer.emit(f"play rx_i,rx_q,{_ns(t.gate_1q)}")
-            writer.wait(dur_ns - _ns(t.gate_1q))
-        elif mine.kind == "RZ":
-            writer.emit(f"set_phase {_fmt_deg(mine.theta)}")
-            writer.wait(dur_ns)
-        else:  # CNOT participation: timed, no pulse on this sequencer
-            writer.wait(dur_ns)
-
-
 def _render_program(
-    q: int, role: str, moments, shots: int, reset_ns: int, t: TimingModel
+    role: str,
+    ops: list[tuple[int, Gate]],
+    end_ns: int,
+    shots: int,
+    reset_ns: int,
+    t: TimingModel,
 ) -> str:
-    used: set[str] = set()
-    writer = _OpWriter()
-    writer.wait(reset_ns)
-    _qubit_timeline(writer, q, role, moments, t, used)
-    body = writer.done()
-    table = {name: _ENVELOPES[name] for name in sorted(used)}
+    """Write one program from its qubit's (start_ns, gate) list, in time order:
+    a wait for each idle stretch, acquire on a readout sequencer, play and
+    set_phase on a control sequencer. end_ns is the circuit's length."""
+    pulse_ns = _ns(t.gate_1q)
+    acquire_ns = _ns(t.measurement)
+    envelopes: set[str] = set()
+    body: list[str] = []
+    cursor = -reset_ns  # the reset wait opens every shot
+    for start_ns, g in ops:
+        if role == "readout" and g.kind == "MEASURE":
+            steps, names, busy_ns = [f"acquire 0,{acquire_ns}"], ("ro_i", "ro_q"), acquire_ns
+        elif role == "readout" or g.kind in ("CNOT", "MEASURE"):
+            continue  # timed, but no pulse on this sequencer
+        elif g.kind == "H":
+            steps, names, busy_ns = [f"play h_i,h_q,{pulse_ns}"], ("h_i", "h_q"), pulse_ns
+        elif g.kind == "RX":
+            steps = [f"set_phase {_fmt_deg(g.theta)}", f"play rx_i,rx_q,{pulse_ns}"]
+            names, busy_ns = ("rx_i", "rx_q"), pulse_ns
+        else:  # RZ: a frame change of zero duration
+            steps, names, busy_ns = [f"set_phase {_fmt_deg(g.theta)}"], (), 0
+        if start_ns > cursor:
+            body.append(f"wait {start_ns - cursor}")
+        body.extend(steps)
+        envelopes.update(names)
+        cursor = start_ns + busy_ns
+    if end_ns > cursor:
+        body.append(f"wait {end_ns - cursor}")
+    table = {name: _ENVELOPES[name] for name in envelopes}
     lines = [
         _WAVEFORM_HEADER,
         json.dumps(table, sort_keys=True, separators=(",", ":")),
@@ -229,15 +190,22 @@ def compile(c: Circuit, shots: int, reset: str) -> CompiledJob:
 
     moments = schedule_moments(c, t)
     circuit_s = sum(d for d, _ in moments)
+    timelines: list[list[tuple[int, Gate]]] = [[] for _ in range(c.n)]
+    start_ns = 0  # after the walk, the circuit's length
+    for dur, gates in moments:
+        for g in gates:
+            for q in g.qubits:
+                timelines[q].append((start_ns, g))
+        start_ns += _ns(dur)
     reset_ns = _ns(reset_s)
     measured = set(c.measured_qubits())
 
     files: list[ProgramFile] = []
-    for q in range(c.n):
+    for q, ops in enumerate(timelines):
         module_index, seq = divmod(q, SEQUENCERS_PER_MODULE)
         roles = ["control"] + (["readout"] if q in measured else [])
         for role in roles:
-            text = _render_program(q, role, moments, shots, reset_ns, t)
+            text = _render_program(role, ops, start_ns, shots, reset_ns, t)
             module = f"{_MODULE_PREFIX[role]}{module_index}"
             files.append(
                 ProgramFile(qubit=q, role=role, module=module, sequencer=seq, text=text)

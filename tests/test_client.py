@@ -5,6 +5,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -21,6 +22,19 @@ PARAMS = QaoaParams(p=2, gammas=(0.7, 0.7), betas=(0.4, 0.4))
 
 def _job(n: int, shots: int = 1000):
     return compile_job(build_qaoa(generate_instance(n, 0), PARAMS), shots, "passive")
+
+
+def _record_commands(svc) -> list[str]:
+    """A list that collects the cmd of every request svc handles, in order."""
+    commands = []
+    dispatch = svc.dispatch
+
+    def counted(request):
+        commands.append(request.get("cmd"))
+        return dispatch(request)
+
+    svc.dispatch = counted
+    return commands
 
 
 def test_full_iteration_round_trip(zeroed_service, k4_job):
@@ -56,28 +70,18 @@ def test_wait_done_sleeps_to_the_announced_done_time():
         done_finalize_ms=60.0,
     )
     job = _job(4, shots=50)
-    commands = []
     with ClusterService(profile, Topology.for_qubits(4), noise_seed=5) as svc:
-        dispatch = svc.dispatch
-
-        def counted(request):
-            commands.append(request.get("cmd"))
-            return dispatch(request)
-
-        svc.dispatch = counted
+        commands = _record_commands(svc)
         with ClusterClient(*svc.address) as client:
             acquisition, t = client.run_iteration(job)
     assert commands.count("status") <= 2
     assert commands.count("retrieve") == 1
     assert sorted(acquisition.bits) == [0, 1, 2, 3]
     assert all(len(bits) == 50 for bits in acquisition.bits.values())
-    # the server starts the done clock before its start reply, so start and
-    # wait_done together cover the start latency and the announced wait
-    wanted_s = (
-        profile.start_ms / 1e3 + job.schedule_seconds * profile.dilation
-        + profile.done_finalize_ms / 1e3
-    )
-    assert t.start_s + t.wait_done_wall_s >= wanted_s
+    # wait_done sleeps the whole done_in_s the start reply announces, from
+    # the moment that reply arrives, so it alone covers the announced wait
+    announced_s = job.schedule_seconds * profile.dilation + profile.done_finalize_ms / 1e3
+    assert t.wait_done_wall_s >= announced_s
 
 
 def test_wait_done_timeout_counts_from_the_announced_done_time(monkeypatch):
@@ -112,6 +116,26 @@ def test_parallel_prepare_arms_every_sequencer_of_a_large_job():
             client.prepare(job, "parallel")
         armed = {key for key, seq in svc.state.seqs.items() if seq.status == "armed"}
     assert armed == {(f.module, f.sequencer) for f in job.files}
+
+
+def test_failed_parallel_prepare_waits_for_every_upload_and_leaves_the_cluster_idle():
+    # the first file targets a module the cluster lacks and fails at once;
+    # the other seven uploads each take 80 ms and arm their sequencer
+    profile = dataclasses.replace(LatencyProfile.zeroed(), prepare_concurrent_ms=80.0)
+    job = _job(4, shots=10)
+    job = dataclasses.replace(
+        job, files=(dataclasses.replace(job.files[0], module="cm9"), *job.files[1:])
+    )
+    with ClusterService(profile, Topology.for_qubits(4), noise_seed=5) as svc:
+        commands = _record_commands(svc)
+        with ClusterClient(*svc.address) as client:
+            with pytest.raises(ProtocolError) as err:
+                client.run_iteration(job, "parallel")
+            assert err.value.code == "unknown_target"
+            time.sleep(0.3)  # any upload still in flight would arm by now
+            assert client.status()["state"] == "idle"
+    assert commands.count("prepare") == 8
+    assert commands.count("stop") == 2  # the iteration's first stop, then one on failure
 
 
 def test_multi_module_retrieve(zeroed_service):

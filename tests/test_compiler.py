@@ -1,10 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from qprofile.circuit import QaoaParams, build_qaoa, circuit_duration
+from qprofile.circuit import (
+    Circuit,
+    QaoaParams,
+    build_qaoa,
+    circuit_duration,
+    cnot,
+    h,
+    measure,
+    rx,
+    rz,
+    simplify,
+)
 from qprofile.cluster import Topology
 from qprofile.compiler import CompileError, compile, measure_job_size
 from qprofile.problem import generate_instance
@@ -18,9 +30,9 @@ def _k4_circuit():
 
 
 def test_one_control_and_one_readout_file_per_measured_qubit(k4_job):
-    assert len(k4_job.files) == 8
-    assert sorted(k4_job.control_programs) == [0, 1, 2, 3]
-    assert sorted(k4_job.readout_programs) == [0, 1, 2, 3]
+    assert [(f.qubit, f.role) for f in k4_job.files] == [
+        (q, role) for q in range(4) for role in ("control", "readout")
+    ]
     assert k4_job.readout_modules() == ("rm0",)
 
 
@@ -28,6 +40,55 @@ def test_compilation_is_byte_deterministic():
     a = compile(_k4_circuit(), 1000, "passive")
     b = compile(_k4_circuit(), 1000, "passive")
     assert [f.text for f in a.files] == [f.text for f in b.files]
+
+
+RANDOM_PARAMS = QaoaParams(p=3, gammas=(0.31, 1.97, 5.13), betas=(0.23, 2.81, 0.94))
+ZERO_PARAMS = QaoaParams(p=1, gammas=(0.0,), betas=(0.0,))
+
+# SHA-256 over each job's circuit and schedule seconds, then every file's
+# placement and text, recorded from the reference compiler. A change to the
+# program format or to any file's bytes changes its digest.
+PINNED_DIGESTS = {
+    "k4": "f7cec276e1609e153e67c28962db8d16c2a0379ef4f67c331c593d6c65cc2cdb",
+    "k4-active": "9d4278ed93258dc6edafd2a207f3f04f5fa3a75246e22ccc13c2cb214ae25da1",
+    "n8-p3-simplified": "e6f3491677184b6d5e83d6d786505cc46b93a7ece96e489285c29eabf1647c66",
+    "n13-p3": "10b59bbc92264d3185c5188f37f4aad1f30d69825ebef578bca6fca425506a43",
+    "n6-zero-angles": "8c6b31d149b3ea8099be329f6d42a88640eab104faeea08058cd8efa7b784123",
+    "hand-built": "dc10c554642ff686d3f18fe32c026cbffc978572a89e53e50d9ed51a22f7b3cb",
+}
+
+
+def _pinned_corpus():
+    # hand-built: qubit 1 is driven but unmeasured, 3 is idle, 4 is only measured
+    hand_built = Circuit(
+        5, (h(0), cnot(0, 1), rx(1.0, 2), rz(0.5, 1), cnot(1, 2), measure(0), measure(2), measure(4))
+    )
+    return {
+        "k4": (_k4_circuit(), 1000, "passive"),
+        "k4-active": (_k4_circuit(), 1000, "active"),
+        "n8-p3-simplified": (
+            simplify(build_qaoa(generate_instance(8, 1), RANDOM_PARAMS)), 500, "passive"
+        ),
+        "n13-p3": (build_qaoa(generate_instance(13, 2), RANDOM_PARAMS), 200, "active"),
+        "n6-zero-angles": (build_qaoa(generate_instance(6, 0), ZERO_PARAMS), 100, "passive"),
+        "hand-built": (hand_built, 10, "active"),
+    }
+
+
+def _job_digest(job) -> str:
+    digest = hashlib.sha256(f"{job.circuit_seconds!r} {job.schedule_seconds!r}\n".encode())
+    for f in job.files:
+        digest.update(f"{f.qubit} {f.role} {f.module} {f.sequencer} {len(f.text)}\n".encode())
+        digest.update(f.text.encode())
+    return digest.hexdigest()
+
+
+def test_program_bytes_match_the_pinned_digests():
+    digests = {
+        name: _job_digest(compile(c, shots, reset))
+        for name, (c, shots, reset) in _pinned_corpus().items()
+    }
+    assert digests == PINNED_DIGESTS
 
 
 def test_program_file_structure(k4_job):
@@ -44,8 +105,8 @@ def test_program_file_structure(k4_job):
 
 
 def test_readout_programs_acquire_and_control_programs_play(k4_job):
-    readout = k4_job.readout_programs[0]
-    control = k4_job.control_programs[0]
+    texts = {f.role: f.text for f in k4_job.files if f.qubit == 0}
+    readout, control = texts["readout"], texts["control"]
     assert "acquire 0," in readout
     assert "acquire" not in control
     assert "play h_i,h_q," in control
