@@ -70,24 +70,6 @@ class IterationTimings:
     prepare_mode: str
     reset_mode: str
 
-    @classmethod
-    def from_phases(cls, phases_s, job: CompiledJob, prepare_mode: str) -> "IterationTimings":
-        """Timings from the six phase durations in iteration order (stop,
-        prepare, start, wait_done, retrieve, final_stop), summed left to right."""
-        stop, prepare, start, wait_done, retrieve, final_stop = phases_s
-        return cls(
-            stop_s=stop,
-            prepare_s=prepare,
-            start_s=start,
-            wait_done_wall_s=wait_done,
-            retrieve_s=retrieve,
-            final_stop_s=final_stop,
-            wall_total_s=sum(phases_s),
-            schedule_nominal_s=job.schedule_seconds,
-            prepare_mode=prepare_mode,
-            reset_mode=job.reset,
-        )
-
 
 class ClusterConnection:
     """One framed TCP connection."""
@@ -253,7 +235,10 @@ class ClusterClient:
             self._best_effort_stop()
             raise
         phases_s = [b - a for a, b in zip(stamps, stamps[1:])]
-        return acquisition, IterationTimings.from_phases(phases_s, job, prepare_mode)
+        timings = IterationTimings(
+            *phases_s, sum(phases_s), job.schedule_seconds, prepare_mode, job.reset
+        )
+        return acquisition, timings
 
     # -- lifecycle ----------------------------------------------------------
 

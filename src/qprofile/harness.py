@@ -8,11 +8,13 @@ cluster's acquisition payload is structurally faithful but carries no qubit
 physics, so the objective substitutes simulated shots with per-iteration
 seeds). Wall-clock phase timings come from the protocol exchange itself.
 
-timing_mode "virtual" keeps the whole protocol exchange but records the
-profile's nominal latencies (LatencyProfile.phase_ms, prepare following the
-prepare mode) instead of measured wall time and zeroes the host-side
-compile/optimizer phases, making reports bit-reproducible; it is meant for
-regression tests, not measurement.
+Every iteration also gets a nominal PhaseRecord: the profile's latencies
+for its job (LatencyProfile.phase_ms, prepare following the prepare mode),
+the nominal schedule, and zero compile/optimizer time. A cell's nominal
+report aggregates them, and run --check compares the measured report with
+it. timing_mode "virtual" keeps the whole protocol exchange but books the
+nominal record in place of the measured one, making reports
+bit-reproducible; it is meant for regression tests, not measurement.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .circuit import QaoaParams, build_qaoa, simplify
-from .client import ClusterClient, IterationTimings
+from .client import ClusterClient
 from .cluster import ClusterService, LatencyProfile, Topology
 from .compiler import compile
 from .optimizer import OptimizerConfig, minimize
@@ -143,8 +145,7 @@ class CellResult:
     report: AggregateReport
     records: tuple[PhaseRecord, ...]
     summaries: tuple[RunSummary, ...]
-    # LatencyProfile.phase_ms of the jobs behind the records, averaged
-    nominal_ms: dict[str, float]
+    nominal: AggregateReport  # of the nominal records of the same iterations
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,9 @@ def _one_run(
     n: int,
     run_idx: int,
     opt_cfg: OptimizerConfig,
-) -> tuple[list[PhaseRecord], list[dict], RunSummary]:
+) -> tuple[list[PhaseRecord], list[PhaseRecord], RunSummary]:
     records: list[PhaseRecord] = []
-    nominals: list[dict] = []
+    nominals: list[PhaseRecord] = []
     best_cut = 0.0
     last_exit: float | None = None
 
@@ -180,34 +181,39 @@ def _one_run(
         compile_ms = (time.perf_counter() - entered) * 1e3
 
         _acq, timings = client.run_iteration(job, prepare_mode=config.prepare)
-        nominal_ms = config.profile.phase_ms(job, config.prepare)
-        nominals.append(nominal_ms)
-        if config.timing_mode == "virtual":
-            s = {phase: ms / 1e3 for phase, ms in nominal_ms.items()}
-            # the client times its wait for done including the slept schedule
-            s["wait_done"] += job.schedule_seconds * config.dilation
-            timings = IterationTimings.from_phases(s.values(), job, config.prepare)
-            compile_ms = 0.0
-            optimizer_ms = 0.0
-
         iteration = len(records)
+        nominals.append(
+            PhaseRecord.from_phases(
+                run_idx,
+                iteration,
+                n,
+                compile=0.0,
+                schedule=job.schedule_seconds * 1e3,
+                optimizer=0.0,
+                **config.profile.phase_ms(job, config.prepare),
+            )
+        )
+
         shot_seed = mix_seed(config.seed, n, run_idx, iteration)
         counts = sample(simulate(circ), config.shots, shot_seed)
         mean_cut, best_observed = score(g, counts)
         best_cut = max(best_cut, best_observed)
 
-        records.append(
-            record_iteration(
-                timings,
-                compile_ms=compile_ms,
-                optimizer_ms=optimizer_ms,
-                schedule_nominal_s=job.schedule_seconds,
-                dilation=config.dilation,
-                run=run_idx,
-                iteration=iteration,
-                qubits=n,
+        if config.timing_mode == "virtual":
+            records.append(nominals[-1])
+        else:
+            records.append(
+                record_iteration(
+                    timings,
+                    compile_ms=compile_ms,
+                    optimizer_ms=optimizer_ms,
+                    schedule_nominal_s=job.schedule_seconds,
+                    dilation=config.dilation,
+                    run=run_idx,
+                    iteration=iteration,
+                    qubits=n,
+                )
             )
-        )
         last_exit = time.perf_counter()
         return -mean_cut
 
@@ -230,7 +236,7 @@ def _run_cells(config: BenchmarkConfig, host: str, port: int) -> BenchmarkResult
         g = generate_instance(n, mix_seed(config.seed, n))
         opt_cfg = config.optimizer_for(n)
         records: list[PhaseRecord] = []
-        nominals: list[dict] = []
+        nominals: list[PhaseRecord] = []
         summaries: list[RunSummary] = []
         with ClusterClient(host, port) as client:
             for run_idx in range(config.runs):
@@ -258,15 +264,11 @@ def _run_cells(config: BenchmarkConfig, host: str, port: int) -> BenchmarkResult
         if not records:
             errors = "; ".join(s.error or "?" for s in summaries)
             raise BenchmarkError(f"all {config.runs} runs failed for {n} qubits: {errors}")
-        report = aggregate(records, config.meta())
         cells[n] = CellResult(
-            report=report,
+            report=aggregate(records, config.meta()),
             records=tuple(records),
             summaries=tuple(summaries),
-            nominal_ms={
-                phase: math.fsum(nm[phase] for nm in nominals) / len(nominals)
-                for phase in nominals[0]
-            },
+            nominal=aggregate(nominals, config.meta()),
         )
     return BenchmarkResult(config=config, cells=cells)
 

@@ -1,9 +1,12 @@
 """Phase-resolved runtime records, aggregation, speedups, extrapolation.
 
-Phase durations live in milliseconds here. The schedule phase is always the
-nominal execution time of the uploaded schedule, never the slept wall time,
-so time dilation in the cluster cannot distort the breakdown; the wait-done
-phase is netted of the slept schedule share accordingly.
+Phase durations live in milliseconds here. One PhaseRecord type holds both a
+measured iteration (record_iteration) and a nominal one (the latency
+profile's prediction); either way total is the sum of the nine timed phases.
+The schedule phase is always the nominal execution time of the uploaded
+schedule, never the slept wall time, so time dilation in the cluster cannot
+distort the breakdown; the wait-done phase is netted of the slept schedule
+share accordingly, and a wait shorter than that share raises.
 """
 
 from __future__ import annotations
@@ -50,6 +53,17 @@ class PhaseRecord:
     optimizer_ms: float
     total_ms: float
 
+    @classmethod
+    def from_phases(cls, run: int, iteration: int, qubits: int, **ms: float) -> "PhaseRecord":
+        """A record from the milliseconds of the nine timed phases, keyed by
+        phase name. total is their sum, in PHASE_ORDER."""
+        for name, v in ms.items():
+            if v < 0:
+                raise ValueError(f"{name} must be non-negative, got {v}")
+        total = sum(ms[name] for name in PHASE_ORDER if name != "total")
+        fields = {f"{name}_ms": v for name, v in ms.items()}
+        return cls(run=run, iteration=iteration, qubits=qubits, **fields, total_ms=total)
+
     def phase(self, name: str) -> float:
         return getattr(self, f"{name}_ms")
 
@@ -72,51 +86,33 @@ def record_iteration(
     iteration: int = 0,
     qubits: int = 0,
 ) -> PhaseRecord:
-    """Fold one iteration's wall timings into a phase record.
+    """Fold one iteration's measured wall timings into a phase record.
 
     wait_done is the measured wall wait minus the slept schedule share
-    (nominal x dilation), clamped at zero. The total swaps the slept
-    schedule time for the nominal one, so dilated and undilated runs
-    report comparable totals.
+    (nominal x dilation). A wait shorter than that share means the cluster
+    slept less schedule than dilation says, and raises ValueError.
     """
-    values = {
-        "compile_ms": compile_ms,
-        "optimizer_ms": optimizer_ms,
-        "schedule_nominal_s": schedule_nominal_s,
-        "dilation": dilation,
-        "stop_s": timings.stop_s,
-        "prepare_s": timings.prepare_s,
-        "start_s": timings.start_s,
-        "wait_done_wall_s": timings.wait_done_wall_s,
-        "retrieve_s": timings.retrieve_s,
-        "final_stop_s": timings.final_stop_s,
-        "wall_total_s": timings.wall_total_s,
-    }
-    for name, v in values.items():
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative, got {v}")
     schedule_ms = schedule_nominal_s * 1e3
-    wait_net_ms = max(0.0, timings.wait_done_wall_s * 1e3 - schedule_ms * dilation)
-    total_ms = (
-        compile_ms
-        + optimizer_ms
-        + timings.wall_total_s * 1e3
-        + schedule_ms * (1.0 - dilation)
-    )
-    return PhaseRecord(
-        run=run,
-        iteration=iteration,
-        qubits=qubits,
-        compile_ms=compile_ms,
-        stop_ms=timings.stop_s * 1e3,
-        prepare_ms=timings.prepare_s * 1e3,
-        start_ms=timings.start_s * 1e3,
-        wait_done_ms=wait_net_ms,
-        schedule_ms=schedule_ms,
-        retrieve_ms=timings.retrieve_s * 1e3,
-        final_stop_ms=timings.final_stop_s * 1e3,
-        optimizer_ms=optimizer_ms,
-        total_ms=total_ms,
+    wait_done_ms = timings.wait_done_wall_s * 1e3 - schedule_ms * dilation
+    if wait_done_ms < 0:
+        raise ValueError(
+            f"wait_done measured {timings.wait_done_wall_s * 1e3:.3f} ms, shorter than "
+            f"the {schedule_ms * dilation:.3f} ms of schedule that dilation {dilation} "
+            "says the cluster sleeps: pass the dilation the cluster was started with"
+        )
+    return PhaseRecord.from_phases(
+        run,
+        iteration,
+        qubits,
+        compile=compile_ms,
+        stop=timings.stop_s * 1e3,
+        prepare=timings.prepare_s * 1e3,
+        start=timings.start_s * 1e3,
+        wait_done=wait_done_ms,
+        schedule=schedule_ms,
+        retrieve=timings.retrieve_s * 1e3,
+        final_stop=timings.final_stop_s * 1e3,
+        optimizer=optimizer_ms,
     )
 
 
@@ -207,7 +203,8 @@ def compute_speedup(baseline: AggregateReport, variant: AggregateReport) -> Spee
 
     `overall` is the ratio of total means. `isolated[phase]` answers what
     the overall speedup would be if only that phase had changed: baseline
-    total over (baseline total minus that phase's saving).
+    total over (baseline total minus that phase's saving). A phase at 0 in
+    both reports has ratio 1.0; one at 0 only in the variant has ratio inf.
     """
     base_total = baseline.phase_mean("total")
     var_total = variant.phase_mean("total")
@@ -220,7 +217,7 @@ def compute_speedup(baseline: AggregateReport, variant: AggregateReport) -> Spee
             continue
         b = baseline.phase_mean(name)
         v = variant.phase_mean(name)
-        per_phase[name] = b / v if v > 0 else math.inf
+        per_phase[name] = b / v if v > 0 else 1.0 if b == 0 else math.inf
         denom = base_total - (b - v)
         isolated[name] = base_total / denom if denom > 0 else math.inf
     return SpeedupReport(overall=base_total / var_total, per_phase=per_phase, isolated=isolated)

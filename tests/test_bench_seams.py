@@ -1,6 +1,7 @@
-"""The benchmark in bench/ wraps module attributes of the program. This test
-installs its wrappers and puts the originals back, so a refactor that removes
-or renames one of those attributes fails here rather than in a benchmark run.
+"""The benchmark in bench/ wraps module attributes of the program and calls
+some of them directly. These tests install its wrappers and put the originals
+back, and make its direct calls, so a refactor that removes, renames or
+re-signs one of them fails here rather than in a benchmark run.
 """
 
 from __future__ import annotations
@@ -28,3 +29,12 @@ def test_benchmark_wrappers_install_and_restore(monkeypatch):
     assert originals
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, f"{owner!r}.{attr} not restored"
+
+
+def test_benchmark_nominal_reports_build(monkeypatch):
+    # nominal_reports builds IterationTimings and calls record_iteration itself
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    reports = importlib.import_module("workloads").nominal_reports()
+    assert sorted(reports) == [4, 8, 14]
+    for report in reports.values():
+        assert report.phase_mean("total") > report.phase_mean("schedule") > 0

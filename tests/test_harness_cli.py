@@ -109,9 +109,10 @@ ZERO_LATENCY = dict(timing_mode="real", profile=LatencyProfile.zeroed(), dilatio
 )
 def test_total_equals_the_sum_of_its_phases(overrides):
     cell = run_benchmark(_virtual_config(runs=1, **overrides)).cells[3]
-    for phase in [cell.report.phase_mean, *(rec.phase for rec in cell.records)]:
-        component_sum = sum(phase(name) for name in PHASE_ORDER if name != "total")
-        assert phase("total") == pytest.approx(component_sum, rel=1e-9)
+    for rec in cell.records:
+        assert rec.total_ms == sum(rec.phase(name) for name in PHASE_ORDER if name != "total")
+    component_sum = sum(cell.report.phase_mean(name) for name in PHASE_ORDER if name != "total")
+    assert cell.report.phase_mean("total") == pytest.approx(component_sum, rel=1e-9)
 
 
 def test_virtual_phase_means_match_the_profile_nominals():
@@ -152,7 +153,7 @@ def test_virtual_prepare_follows_the_prepare_mode(reset, prepare, reference_ms):
     # reference_ms is the acceptance reference for the cell's prepare mean
     cell = run_benchmark(_acceptance_cell(reset, prepare)).cells[4]
     assert cell.report.phase_mean("prepare") == pytest.approx(reference_ms, rel=1e-3)
-    assert cell.nominal_ms["prepare"] == pytest.approx(reference_ms, rel=1e-3)
+    assert cell.nominal.phase_mean("prepare") == pytest.approx(reference_ms, rel=1e-3)
 
 
 def test_check_names_prepare_when_only_prepare_drifts():
@@ -332,12 +333,32 @@ def test_cli_run_check_fails_on_profile_drift(tmp_path, capsys):
             "--shots", "50",
             "--p", "1",
             "--cluster", f"{host}:{port}",
+            "--dilation", "0",
             "--check",
         ])
     finally:
         service.shutdown()
     assert code == 4
     assert "CHECK FAIL" in capsys.readouterr().err
+
+
+def test_cli_run_fails_when_the_cluster_sleeps_less_schedule_than_the_dilation(capsys):
+    # the server sleeps no schedule (dilation 0) where the default profile says 1.0
+    service = ClusterService(LatencyProfile.zeroed(), Topology(), noise_seed=5)
+    host, port = service.start()
+    try:
+        code = main([
+            "run",
+            "--qubits", "3",
+            "--runs", "1",
+            "--shots", "50",
+            "--p", "1",
+            "--cluster", f"{host}:{port}",
+        ])
+    finally:
+        service.shutdown()
+    assert code == 3
+    assert "dilation" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_configuration(capsys):
