@@ -5,9 +5,13 @@ wait-done -> retrieve -> stop against one cluster. The clock is read once at
 each phase boundary, so the six phases are contiguous and sum to the
 iteration's measured wall time. Program uploads go either sequentially over
 the main connection or in parallel with one connection per program file
-(connections are reused across iterations). The start reply announces, in
-done_in_s, how long the schedule has left to run; wait-done sleeps that long
-and then confirms with status, which normally takes one request.
+(connections are reused across iterations). Parallel uploads are all sent
+from the calling thread, one frame on each stream, before any reply is read:
+the cluster serves each stream on its own handler thread, so the uploads
+overlap there, and the client uses no worker threads. The start reply
+announces, in done_in_s, how long the schedule has left to run; wait-done
+sleeps that long and then confirms with status, which normally takes one
+request.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import json
 import math
 import socket
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from . import wire
@@ -83,15 +86,25 @@ class ClusterConnection:
         self._sock.settimeout(300.0)
 
     def request(self, obj: dict) -> dict:
+        self.send(obj)
+        return self.receive(obj.get("cmd"))
+
+    def send(self, obj: dict) -> None:
         try:
             wire.send_frame(self._sock, obj)
-            reply = wire.recv_frame(self._sock)
         except (OSError, wire.FrameError) as exc:
             raise TransportError(f"transport failure during {obj.get('cmd')}: {exc}") from exc
+
+    def receive(self, cmd: str) -> dict:
+        """Read the reply to the cmd request sent last on this connection."""
+        try:
+            reply = wire.recv_frame(self._sock)
+        except (OSError, wire.FrameError) as exc:
+            raise TransportError(f"transport failure during {cmd}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise TransportError(f"undecodable reply to {obj.get('cmd')}") from exc
+            raise TransportError(f"undecodable reply to {cmd}") from exc
         if reply is None:
-            raise TransportError(f"connection closed during {obj.get('cmd')}")
+            raise TransportError(f"connection closed during {cmd}")
         if not reply.get("ok", False):
             raise ProtocolError(reply.get("error", "unknown"), reply.get("msg", ""))
         return reply
@@ -134,7 +147,6 @@ class ClusterClient:
         self.port = port
         self._main = ClusterConnection(host, port)
         self._streams: list[ClusterConnection] = []
-        self._pool: ThreadPoolExecutor | None = None
 
     # -- single commands ----------------------------------------------------
 
@@ -155,27 +167,35 @@ class ClusterClient:
     def prepare(self, job: CompiledJob, mode: str) -> None:
         """Upload every program file, in turn over the main connection
         (sequential) or all at once over one reused stream per file (parallel).
-        A parallel prepare returns or raises its first error only once every
-        upload has finished."""
+        A parallel prepare sends every frame before it reads any reply, then
+        reads the replies in file order. It stops sending at the first send
+        that fails, and raises the first error it meets only once every
+        stream it sent on has replied: no upload may arm a sequencer after a
+        failure is raised."""
         if mode == "sequential":
             for f in job.files:
                 self._main.request(_prepare_request(f, job))
             return
         if mode != "parallel":
             raise ValueError(f"unknown prepare mode {mode!r}")
-        if len(self._streams) < len(job.files):
-            for _ in range(len(job.files) - len(self._streams)):
-                self._streams.append(ClusterConnection(self.host, self.port))
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(max_workers=len(self._streams))
-        futures = [
-            self._pool.submit(conn.request, _prepare_request(f, job))
-            for conn, f in zip(self._streams, job.files)
-        ]
-        wait(futures)  # no upload may arm a sequencer after a failure is raised
-        for fut in futures:
-            fut.result()
+        while len(self._streams) < len(job.files):
+            self._streams.append(ClusterConnection(self.host, self.port))
+        sent: list[ClusterConnection] = []
+        error = None
+        for conn, f in zip(self._streams, job.files):
+            try:
+                conn.send(_prepare_request(f, job))
+            except TransportError as exc:
+                error = exc
+                break
+            sent.append(conn)
+        for conn in sent:
+            try:
+                conn.receive("prepare")
+            except (TransportError, ProtocolError) as exc:
+                error = error or exc
+        if error:
+            raise error
 
     # -- full iteration -----------------------------------------------------
 
@@ -206,7 +226,7 @@ class ClusterClient:
             replies.append(reply)
             shots = max(shots, int(reply.get("shots", 0)))
             for q_text, values in reply.get("bits", {}).items():
-                bits[int(q_text)] = tuple(int(v) for v in values)
+                bits[int(q_text)] = tuple(values)
             for q_text, values in reply.get("raw", {}).items():
                 raw[int(q_text)] = tuple(float(v) for v in values)
         return AcquisitionData(shots=shots, bits=bits, raw=raw, replies=tuple(replies))
@@ -249,9 +269,6 @@ class ClusterClient:
             pass
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
         for conn in [self._main, *self._streams]:
             conn.close()
         self._streams = []

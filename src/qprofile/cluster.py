@@ -316,7 +316,7 @@ class ClusterService:
             for meta in ran:  # the state lock also serialises the noise stream
                 shots = max(shots, meta["shots"])
                 draw = self._noise.integers(0, 2, size=meta["shots"])
-                bits[str(meta["qubit"])] = [int(b) for b in draw]
+                bits[str(meta["qubit"])] = draw.tolist()
                 iq = self._noise.normal(0.0, 1.0, size=2)
                 raw[str(meta["qubit"])] = [round(float(iq[0]), 6), round(float(iq[1]), 6)]
         return {"ok": True, "shots": shots, "bits": bits, "raw": raw}

@@ -37,6 +37,7 @@ the top of every shot. Identical inputs compile to byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -88,6 +89,15 @@ _ENVELOPES: dict[str, list[float]] = {
     "ro_i": _gaussian(ENVELOPE_SAMPLES, 0.8),
     "ro_q": _gaussian(ENVELOPE_SAMPLES, 0.8),
 }
+
+
+@functools.cache
+def _waveform_json(names: frozenset[str]) -> str:
+    """The waveform table of the named envelopes as one JSON line. A pure
+    function of the constant _ENVELOPES, and only a few name sets occur, so
+    each table is rendered once per process."""
+    table = {name: _ENVELOPES[name] for name in names}
+    return json.dumps(table, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -165,10 +175,9 @@ def _render_program(
         cursor = start_ns + busy_ns
     if end_ns > cursor:
         body.append(f"wait {end_ns - cursor}")
-    table = {name: _ENVELOPES[name] for name in envelopes}
     lines = [
         _WAVEFORM_HEADER,
-        json.dumps(table, sort_keys=True, separators=(",", ":")),
+        _waveform_json(frozenset(envelopes)),
         _SCHEDULE_HEADER,
         f"move R0,{shots}",
         "shot:",

@@ -170,7 +170,10 @@ class AggregateReport:
 
 
 def aggregate(records, meta: dict | None = None) -> AggregateReport:
-    """Pool per-iteration records into per-phase mean/std (population)."""
+    """Pool per-iteration records into per-phase mean/std (population).
+
+    Both are taken from the values shifted by the first record's, so a phase
+    that is equal in every record reads exactly that value, with std 0."""
     records = list(records)
     if not records:
         raise ValueError("no records to aggregate")
@@ -180,9 +183,10 @@ def aggregate(records, meta: dict | None = None) -> AggregateReport:
     phases = {}
     for name in PHASE_ORDER:
         values = np.array([r.phase(name) for r in records], dtype=float)
+        shifted = values - values[0]
         phases[name] = PhaseStats(
-            mean_ms=float(values.mean()),
-            std_ms=float(values.std()),
+            mean_ms=float(values[0] + shifted.mean()),
+            std_ms=float(shifted.std()),
             count=len(values),
         )
     base_meta = {"qubits": qubit_counts.pop()}

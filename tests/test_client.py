@@ -138,6 +138,69 @@ def test_failed_parallel_prepare_waits_for_every_upload_and_leaves_the_cluster_i
     assert commands.count("stop") == 2  # the iteration's first stop, then one on failure
 
 
+def test_parallel_prepare_sends_from_the_calling_thread_and_starts_no_thread(monkeypatch):
+    job = _job(4, shots=10)
+    senders = []
+    send = qclient.ClusterConnection.send
+
+    def recorded(conn, obj):
+        senders.append(threading.current_thread())
+        send(conn, obj)
+
+    with ClusterService(LatencyProfile.zeroed(), Topology.for_qubits(4), noise_seed=5) as svc:
+        with ClusterClient(*svc.address) as client:
+            client.run_iteration(job, "parallel")  # opens the upload streams
+            monkeypatch.setattr(qclient.ClusterConnection, "send", recorded)
+            client.stop()
+            before = threading.active_count()
+            client.prepare(job, "parallel")
+            assert threading.active_count() == before
+    assert len(senders) == 1 + len(job.files)  # the stop, then one frame per file
+    assert set(senders) == {threading.current_thread()}
+
+
+def test_parallel_uploads_still_overlap():
+    # eight 80 ms uploads: about 640 ms one after another, about 80 ms at once
+    profile = dataclasses.replace(LatencyProfile.zeroed(), prepare_concurrent_ms=80.0)
+    job = _job(4, shots=10)
+    assert len(job.files) == 8
+    with ClusterService(profile, Topology.for_qubits(4), noise_seed=5) as svc:
+        with ClusterClient(*svc.address) as client:
+            client.prepare(job, "parallel")  # opens the upload streams
+            client.stop()
+            t0 = time.perf_counter()
+            client.prepare(job, "parallel")
+            elapsed_s = time.perf_counter() - t0
+    assert 0.08 <= elapsed_s < 0.32
+
+
+def test_parallel_prepare_whose_send_fails_reads_the_sent_replies_before_raising():
+    # after a warm-up iteration the fourth upload stream is closed, so the
+    # fourth send fails once the first three 80 ms uploads are on their way
+    profile = dataclasses.replace(LatencyProfile.zeroed(), prepare_concurrent_ms=80.0)
+    job = _job(4, shots=10)
+    with ClusterService(profile, Topology.for_qubits(4), noise_seed=5) as svc:
+        finished = []
+        dispatch = svc.dispatch
+
+        def recorded(request):
+            reply = dispatch(request)
+            finished.append(request.get("cmd"))
+            return reply
+
+        svc.dispatch = recorded
+        with ClusterClient(*svc.address) as client:
+            client.run_iteration(job, "parallel")
+            client._streams[3].close()
+            finished.clear()
+            with pytest.raises(TransportError, match="during prepare"):
+                client.run_iteration(job, "parallel")
+            # the three sent uploads finished before the best-effort stop
+            assert finished == ["stop", "prepare", "prepare", "prepare", "stop"]
+            time.sleep(0.3)  # any upload still in flight would arm by now
+            assert client.status()["state"] == "idle"
+
+
 def test_multi_module_retrieve(zeroed_service):
     _, host, port = zeroed_service
     job = _job(8, shots=50)

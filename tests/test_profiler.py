@@ -118,6 +118,14 @@ def test_single_record_has_zero_deviation():
     assert report.phases["total"].std_ms == 0.0
 
 
+def test_aggregate_reads_a_constant_phase_exactly():
+    # np.mean of three 56.3 is 56.29999999999999, with a std of 7e-15
+    for count in (3, 7, 120):
+        report = aggregate([_record(56.3, iteration=i) for i in range(count)])
+        for name in PHASE_ORDER:
+            assert report.phases[name].mean_ms == 56.3
+            assert report.phases[name].std_ms == 0.0
+
 def test_report_serialization_round_trip():
     report = aggregate([_record(10.0), _record(20.0, iteration=1)], {"shots": 9})
     again = AggregateReport.from_json(report.to_json())

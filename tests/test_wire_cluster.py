@@ -7,6 +7,7 @@ import socket
 import struct
 import time
 
+import numpy as np
 import pytest
 
 from qprofile import wire
@@ -17,6 +18,7 @@ from qprofile.cluster import (
     Topology,
     load_cluster_config,
 )
+from qprofile.util import mix_seed
 
 
 def _pair():
@@ -259,6 +261,30 @@ def test_retrieve_returns_only_the_sequencers_that_ran():
             time.sleep(0.001)
         reply = svc.dispatch({"cmd": "retrieve", "module": "rm0"})
         assert sorted(reply["bits"]) == [str(q) for q in cycle_qubits]
+
+
+def test_retrieve_reply_is_pinned_to_the_seeded_noise_stream():
+    seed, shots, qubits = 11, 1000, (0, 2, 5)
+    svc = ClusterService(LatencyProfile.zeroed(), Topology(), noise_seed=seed)
+    for q in qubits:
+        meta = {"qubit": q, "shots": shots, "schedule_s": 0.0}
+        assert svc.dispatch(dict(_prepare_cmd("rm0", q), meta=meta))["ok"]
+    assert svc.dispatch({"cmd": "start"})["ok"]
+    reply = svc.dispatch({"cmd": "retrieve", "module": "rm0"})
+
+    # the reference reply, drawn from the same Philox stream in sequencer
+    # order and converted one bit at a time
+    noise = np.random.Generator(np.random.Philox(key=mix_seed(seed, 0xAC)))
+    bits, raw = {}, {}
+    for q in qubits:
+        bits[str(q)] = [int(b) for b in noise.integers(0, 2, size=shots)]
+        iq = noise.normal(0.0, 1.0, size=2)
+        raw[str(q)] = [round(float(iq[0]), 6), round(float(iq[1]), 6)]
+    reference = {"ok": True, "shots": shots, "bits": bits, "raw": raw}
+
+    assert reply["bits"] == bits
+    assert all(type(b) is int for values in reply["bits"].values() for b in values)
+    assert json.dumps(reply) == json.dumps(reference)
 
 
 @pytest.mark.parametrize(
