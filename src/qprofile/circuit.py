@@ -29,7 +29,7 @@ def _norm_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
     qubits: tuple[int, ...]
@@ -128,20 +128,21 @@ def build_qaoa(g: ProblemGraph, params: QaoaParams) -> Circuit:
 
     Hadamards on every qubit, then per layer one CNOT-RZ(gamma)-CNOT block
     per edge (in sorted edge order) followed by RX(2 beta) on every qubit,
-    and trailing measurements. Gate count: n + p*(3|E| + n) + n.
+    and trailing measurements. Gate count: n + p*(3|E| + n) + n. Gates are
+    immutable, so the ansatz reuses them: one CNOT object per edge serves
+    both ends of its block in every layer, and one RZ per layer and qubit
+    serves every edge that targets that qubit.
     """
     gates: list[Gate] = [h(q) for q in range(g.n)]
+    cnots = [cnot(i, j) for i, j in g.edges]
     for layer in range(params.p):
         gamma = params.gammas[layer]
         beta = params.betas[layer]
-        for i, j in g.edges:
-            gates.append(cnot(i, j))
-            gates.append(rz(gamma, j))
-            gates.append(cnot(i, j))
-        for q in range(g.n):
-            gates.append(rx(2.0 * beta, q))
-    for q in range(g.n):
-        gates.append(measure(q))
+        rzs = [rz(gamma, q) for q in range(g.n)]
+        for c, (_, j) in zip(cnots, g.edges):
+            gates += (c, rzs[j], c)
+        gates += [rx(2.0 * beta, q) for q in range(g.n)]
+    gates += [measure(q) for q in range(g.n)]
     return Circuit(n=g.n, gates=tuple(gates))
 
 

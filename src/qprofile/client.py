@@ -171,7 +171,9 @@ class ClusterClient:
         reads the replies in file order. It stops sending at the first send
         that fails, and raises the first error it meets only once every
         stream it sent on has replied: no upload may arm a sequencer after a
-        failure is raised."""
+        failure is raised. A stream that fails at the transport level is
+        closed and dropped, so the next parallel prepare opens a fresh one;
+        a stream whose reply is a protocol error stays open."""
         if mode == "sequential":
             for f in job.files:
                 self._main.request(_prepare_request(f, job))
@@ -181,19 +183,27 @@ class ClusterClient:
         while len(self._streams) < len(job.files):
             self._streams.append(ClusterConnection(self.host, self.port))
         sent: list[ClusterConnection] = []
+        broken: list[ClusterConnection] = []
         error = None
         for conn, f in zip(self._streams, job.files):
             try:
                 conn.send(_prepare_request(f, job))
             except TransportError as exc:
                 error = exc
+                broken.append(conn)
                 break
             sent.append(conn)
         for conn in sent:
             try:
                 conn.receive("prepare")
-            except (TransportError, ProtocolError) as exc:
+            except ProtocolError as exc:
                 error = error or exc
+            except TransportError as exc:
+                error = error or exc
+                broken.append(conn)
+        for conn in broken:
+            conn.close()
+            self._streams.remove(conn)
         if error:
             raise error
 

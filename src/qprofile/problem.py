@@ -9,6 +9,7 @@ cut, with qubit 0 as the leftmost character.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ class InvalidInstanceError(ValueError):
     """Raised for malformed graphs or out-of-range instance requests."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemGraph:
     """Undirected simple graph over qubits 0..n-1.
 
@@ -56,21 +57,30 @@ def _complete_graph(n: int) -> ProblemGraph:
     return ProblemGraph(n=n, edges=edges)
 
 
-def _pairing_draw(n: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...] | None:
+@lru_cache(maxsize=64)
+def _edge_table(n: int) -> tuple[tuple[int, int] | None, ...]:
+    # The (i, j) tuple of key i*n + j for i < j, shared by every n-vertex
+    # instance: graphs that outlive their draw hold no edge tuples of their own.
+    return tuple((i, j) if i < j else None for i in range(n) for j in range(n))
+
+
+def _regular_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     # Configuration model: 4 stubs per vertex, random perfect matching,
-    # rejected on self-loops or parallel edges.
-    stubs = np.repeat(np.arange(n), 4)
-    rng.shuffle(stubs)
-    edges = set()
-    for k in range(0, len(stubs), 2):
-        i, j = int(stubs[k]), int(stubs[k + 1])
-        if i == j:
-            return None
-        e = (i, j) if i < j else (j, i)
-        if e in edges:
-            return None
-        edges.add(e)
-    return tuple(sorted(edges))
+    # redrawn until it has no self-loop and no parallel edge.
+    stubs = [v for v in range(n) for _ in range(4)]
+    while True:
+        draw = stubs.copy()
+        rng.shuffle(draw)
+        keys = set()
+        pairs = iter(draw)
+        for i, j in zip(pairs, pairs):
+            key = i * n + j if i < j else j * n + i
+            if i == j or key in keys:
+                break
+            keys.add(key)
+        else:
+            table = _edge_table(n)
+            return [table[key] for key in sorted(keys)]
 
 
 def generate_instance(n: int, seed: int) -> ProblemGraph:
@@ -79,17 +89,16 @@ def generate_instance(n: int, seed: int) -> ProblemGraph:
     Below MIN_REGULAR_QUBITS (n in {2, 3, 4}) a degree-4 simple graph does
     not exist, so the complete graph is returned. From there on a uniformly
     sampled 4-regular simple graph is drawn via the configuration model with
-    rejection; the draw is deterministic in (n, seed).
+    rejection: a plain list of stubs is shuffled until its pairing is simple.
+    The draw is deterministic in (n, seed), and every instance on n vertices
+    takes its edge tuples from one shared table.
     """
     if n < 2:
         raise InvalidInstanceError(f"need at least 2 qubits, got {n}")
     if n < MIN_REGULAR_QUBITS:
         return _complete_graph(n)
     rng = np.random.Generator(np.random.Philox(key=mix_seed(seed, n, 0x9A)))
-    while True:
-        edges = _pairing_draw(n, rng)
-        if edges is not None:
-            return ProblemGraph(n=n, edges=edges)
+    return ProblemGraph(n=n, edges=tuple(_regular_edges(n, rng)))
 
 
 def _basis_index(n: int, bitstring: str) -> int:

@@ -63,22 +63,16 @@ class RouteResult(NamedTuple):
     final_assignment: dict[int, tuple[int, int]]
 
 
-def _manhattan(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def _step_toward(src: tuple[int, int], dst: tuple[int, int]) -> tuple[int, int]:
-    # Shortest-path step; row adjustment first on ties.
-    if src[0] != dst[0]:
-        return (src[0] + (1 if dst[0] > src[0] else -1), src[1])
-    return (src[0], src[1] + (1 if dst[1] > src[1] else -1))
-
-
 def route(c: Circuit, layout: GridLayout) -> RouteResult:
     """Insert SWAPs so every two-qubit gate acts on grid-adjacent cells.
 
     Returns the routed circuit on rows*cols physical qubits, the number of
-    SWAPs inserted, and the final logical->physical cell map.
+    SWAPs inserted, and the final logical->physical cell map (every qubit
+    of layout.assignment, including any beyond c.n). The bookkeeping runs
+    on integer cell indices, row * cols + col; a gate whose physical qubits
+    equal its logical ones is passed through, a gate repeated on unchanged
+    cells reuses its placed copy, and each SWAP's three CNOTs are built once
+    per call.
     """
     if c.n > layout.capacity:
         raise ValueError(f"{c.n} qubits exceed grid capacity {layout.capacity}")
@@ -86,50 +80,64 @@ def route(c: Circuit, layout: GridLayout) -> RouteResult:
         if q not in layout.assignment:
             raise ValueError(f"qubit {q} missing from layout assignment")
 
-    pos: dict[int, tuple[int, int]] = dict(layout.assignment)
-    occupant: dict[tuple[int, int], int] = {rc: q for q, rc in pos.items()}
-    phys = layout.cell_index
+    cols = layout.cols
+    pos = {q: layout.cell_index(rc) for q, rc in layout.assignment.items()}
+    occupant = {cell: q for q, cell in pos.items()}
+    swap_gates: dict[tuple[int, int], tuple[Gate, Gate, Gate]] = {}
     out: list[Gate] = []
-    swaps = 0
-
-    def emit_swap(a: tuple[int, int], b: tuple[int, int]):
-        nonlocal swaps
-        pa, pb = phys(a), phys(b)
-        out.extend((cnot(pa, pb), cnot(pb, pa), cnot(pa, pb)))
-        qa, qb = occupant.get(a), occupant.get(b)
-        if qa is not None:
-            pos[qa] = b
-        if qb is not None:
-            pos[qb] = a
-        occupant.pop(a, None)
-        occupant.pop(b, None)
-        if qa is not None:
-            occupant[b] = qa
-        if qb is not None:
-            occupant[a] = qb
-        swaps += 1
-
     measures: list[Gate] = []
+    swaps = 0
+    last = placed = None
     for g in c.gates:
         if g.kind == "MEASURE":
             measures.append(g)
             continue
         if len(g.qubits) == 1:
-            q = g.qubits[0]
-            out.append(Gate(g.kind, (phys(pos[q]),), g.theta))
+            cell = pos[g.qubits[0]]
+            out.append(g if cell == g.qubits[0] else Gate(g.kind, (cell,), g.theta))
             continue
         a, b = g.qubits
         mover, anchor = (a, b) if a < b else (b, a)
-        while _manhattan(pos[mover], pos[anchor]) > 1:
-            nxt = _step_toward(pos[mover], pos[anchor])
-            emit_swap(pos[mover], nxt)
-        out.append(Gate(g.kind, (phys(pos[g.qubits[0]]), phys(pos[g.qubits[1]])), g.theta))
+        src = pos[mover]
+        row, col = divmod(src, cols)
+        to_row, to_col = divmod(pos[anchor], cols)
+        # walk a shortest path, row step first, until the pair is adjacent
+        while abs(row - to_row) + abs(col - to_col) > 1:
+            if row != to_row:
+                row += 1 if to_row > row else -1
+            else:
+                col += 1 if to_col > col else -1
+            nxt = row * cols + col
+            triple = swap_gates.get((src, nxt))
+            if triple is None:
+                triple = swap_gates[src, nxt] = (cnot(src, nxt), cnot(nxt, src), cnot(src, nxt))
+            out += triple
+            other = occupant.get(nxt)
+            occupant[nxt] = mover
+            if other is None:
+                del occupant[src]
+            else:
+                occupant[src] = other
+                pos[other] = src
+            src = nxt
+            swaps += 1
+        pos[mover] = src
+        cells = (pos[a], pos[b])
+        if cells == g.qubits:
+            out.append(g)
+            continue
+        if g is not last or cells != placed.qubits:
+            # an ansatz block's closing CNOT is its opening one, on the same cells
+            last, placed = g, Gate(g.kind, cells, g.theta)
+        out.append(placed)
 
     for g in measures:
-        out.append(Gate("MEASURE", (phys(pos[g.qubits[0]]),)))
+        cell = pos[g.qubits[0]]
+        out.append(g if cell == g.qubits[0] else Gate("MEASURE", (cell,)))
 
     routed = Circuit(n=layout.capacity, gates=tuple(out))
-    return RouteResult(routed, swaps, dict(pos))
+    final = {q: divmod(cell, cols) for q, cell in pos.items()}
+    return RouteResult(routed, swaps, final)
 
 
 @dataclass(frozen=True)

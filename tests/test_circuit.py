@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,21 @@ def test_gate_validation():
         Gate("RX", (0,))  # missing angle
     with pytest.raises(ValueError):
         Gate("H", (0,), theta=1.0)
+
+
+def test_gates_are_frozen_and_carry_no_instance_dict():
+    # the ansatz and the router share gate objects between positions, and
+    # the swap study builds thousands of them per op
+    g = rz(0.3, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.theta = 0.4
+    # a new name is refused too; Python 3.11 raises TypeError from the
+    # frozen __setattr__ of a slots dataclass, later versions an AttributeError
+    with pytest.raises((AttributeError, TypeError)):
+        g.label = "x"
+    with pytest.raises(AttributeError):
+        object.__setattr__(g, "label", "x")
+    assert not hasattr(g, "__dict__")
 
 
 def test_angles_normalize_into_one_period():
@@ -79,6 +95,23 @@ def test_ansatz_shape_on_the_four_qubit_complete_graph():
     assert kinds[-4:] == ["MEASURE"] * 4
     assert c.gates[4].qubits == (0, 1)  # edges visited in sorted order
     assert c.gates[5].theta == pytest.approx(0.7)
+
+
+def test_ansatz_reuses_one_cnot_per_edge_and_one_rz_per_layer_and_qubit():
+    g = generate_instance(6, 2)
+    params = QaoaParams(p=2, gammas=(0.7, 1.1), betas=(0.4, 0.2))
+    c = build_qaoa(g, params)
+    built = [h(q) for q in range(g.n)]
+    for gamma, beta in zip(params.gammas, params.betas):
+        for i, j in g.edges:
+            built += [cnot(i, j), rz(gamma, j), cnot(i, j)]
+        built += [rx(2.0 * beta, q) for q in range(g.n)]
+    built += [measure(q) for q in range(g.n)]
+    assert list(c.gates) == built
+    blocks = c.gates[g.n:g.n + 3 * len(g.edges)]
+    assert all(blocks[k] is blocks[k + 2] for k in range(0, len(blocks), 3))
+    assert len({id(gate) for gate in c.gates if gate.kind == "CNOT"}) == len(g.edges)
+    assert len({id(gate) for gate in c.gates if gate.kind == "RZ"}) <= params.p * g.n
 
 
 def test_ansatz_mixer_uses_doubled_angle():

@@ -201,6 +201,38 @@ def test_parallel_prepare_whose_send_fails_reads_the_sent_replies_before_raising
             assert client.status()["state"] == "idle"
 
 
+def test_parallel_prepare_replaces_a_stream_that_failed():
+    # the fourth upload stream is closed: the iteration that meets it fails,
+    # and the next parallel prepare opens a fresh stream in its place
+    job = _job(4, shots=10)
+    with ClusterService(LatencyProfile.zeroed(), Topology.for_qubits(4), noise_seed=5) as svc:
+        with ClusterClient(*svc.address) as client:
+            client.run_iteration(job, "parallel")
+            client._streams[3].close()
+            with pytest.raises(TransportError, match="during prepare"):
+                client.run_iteration(job, "parallel")
+            assert client.status()["state"] == "idle"
+            acquisition, _ = client.run_iteration(job, "parallel")
+            assert len(client._streams) == len(job.files)
+    assert sorted(acquisition.bits) == [0, 1, 2, 3]
+
+
+def test_parallel_prepare_keeps_a_stream_whose_reply_is_a_protocol_error():
+    job = _job(4, shots=10)
+    bad = dataclasses.replace(
+        job, files=(dataclasses.replace(job.files[0], module="cm9"), *job.files[1:])
+    )
+    with ClusterService(LatencyProfile.zeroed(), Topology.for_qubits(4), noise_seed=5) as svc:
+        with ClusterClient(*svc.address) as client:
+            client.run_iteration(job, "parallel")
+            streams = list(client._streams)
+            with pytest.raises(ProtocolError):
+                client.run_iteration(bad, "parallel")
+            assert client._streams == streams
+            acquisition, _ = client.run_iteration(job, "parallel")
+    assert sorted(acquisition.bits) == [0, 1, 2, 3]
+
+
 def test_multi_module_retrieve(zeroed_service):
     _, host, port = zeroed_service
     job = _job(8, shots=50)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -40,6 +42,45 @@ def test_generation_is_deterministic_in_n_and_seed():
     a = generate_instance(9, seed=42)
     b = generate_instance(9, seed=42)
     assert a.edges == b.edges
+
+
+# SHA-256 of repr((n, seed, edges)) over n 2..30 and seeds 0..49, computed
+# when each draw still shuffled a numpy stub array. Any change to the draw
+# moves it, and so would a numpy release whose Generator.shuffle permutes a
+# list differently from an array.
+INSTANCE_DIGEST = "6aaa6392c16db686cedf6412fa429587fa082d1215bf1e724740f19dcaba75a7"
+
+
+def test_instances_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for n in range(2, 31):
+        for seed in range(50):
+            digest.update(repr((n, seed, generate_instance(n, seed).edges)).encode())
+    assert digest.hexdigest() == INSTANCE_DIGEST
+
+
+def test_instances_of_one_size_share_their_edge_tuples():
+    # The benchmark's swap study keeps one graph per size for every op, so
+    # peak RSS grows with the op count. Fresh edge tuples were about 10 KB
+    # of the 15 KB each op retained; shared ones cost nothing per graph.
+    a, b = generate_instance(12, 1), generate_instance(12, 2)
+    ours = {e: e for e in b.edges}
+    shared = [e for e in a.edges if e in ours]
+    assert shared
+    assert all(e is ours[e] for e in shared)
+
+
+def test_problem_graphs_are_frozen_and_carry_no_instance_dict():
+    g = generate_instance(6, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 7
+    # a new name is refused too; Python 3.11 raises TypeError from the
+    # frozen __setattr__ of a slots dataclass, later versions an AttributeError
+    with pytest.raises((AttributeError, TypeError)):
+        g.label = "x"
+    with pytest.raises(AttributeError):
+        object.__setattr__(g, "label", "x")
+    assert not hasattr(g, "__dict__")  # slots: no per-graph dict is retained
 
 
 def test_generation_rejects_tiny_instances():

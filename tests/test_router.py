@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from qprofile.circuit import Circuit, QaoaParams, build_qaoa, cnot, h
+from qprofile.circuit import Circuit, QaoaParams, build_qaoa, cnot, h, simplify
 from qprofile.problem import generate_instance
 from qprofile.router import (
     GridLayout,
@@ -98,6 +100,45 @@ def test_measurements_follow_their_qubits():
     result = route(build_qaoa(g, PARAMS_P1), layout)
     measured = [gate.qubits[0] for gate in result.circuit.gates if gate.kind == "MEASURE"]
     assert measured == [layout.cell_index(result.final_assignment[q]) for q in range(4)]
+
+
+ROUTE_PARAMS = QaoaParams(p=2, gammas=(0.7, 2.1), betas=(0.4, 1.3))
+
+# SHA-256 of every routed circuit's gates, qubit count, swap count and sorted
+# final assignment over _route_corpus(), computed when the router still
+# kept (row, col) tuples: routing on cell indices must not move any of it.
+ROUTE_DIGEST = "d438d0e4dbcd042991b1fd90917c29c35ef447032bf39f131eb6e78aaecc847f"
+
+
+def _route_corpus():
+    for n in range(2, 21):
+        c = build_qaoa(generate_instance(n, n), ROUTE_PARAMS)
+        yield c, grid_layout(n)
+        yield simplify(c), grid_layout(n)
+    # a 3x4 grid with 10 qubits scattered over its 12 cells
+    cells = [(2, 3), (0, 0), (1, 2), (2, 0), (0, 3), (1, 0), (2, 2), (0, 1), (1, 3), (2, 1)]
+    yield build_qaoa(generate_instance(10, 7), ROUTE_PARAMS), GridLayout(3, 4, dict(enumerate(cells)))
+    # a 6-qubit circuit on a layout that also places qubits 6..8
+    layout = GridLayout(3, 3, {q: divmod(8 - q, 3) for q in range(9)})
+    yield build_qaoa(generate_instance(6, 3), ROUTE_PARAMS), layout
+
+
+def test_routes_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for c, layout in _route_corpus():
+        r = route(c, layout)
+        digest.update(repr([(g.kind, g.qubits, g.theta) for g in r.circuit.gates]).encode())
+        digest.update(repr((r.circuit.n, r.swap_count, sorted(r.final_assignment.items()))).encode())
+    assert digest.hexdigest() == ROUTE_DIGEST
+
+
+def test_route_moves_layout_qubits_beyond_the_circuit():
+    # qubit 2 is placed but the circuit has only qubits 0 and 1: the SWAP
+    # that brings qubit 0 next to qubit 1 moves qubit 2 all the same
+    layout = GridLayout(1, 3, {0: (0, 0), 1: (0, 2), 2: (0, 1)})
+    result = route(Circuit(n=2, gates=(cnot(0, 1),)), layout)
+    assert result.swap_count == 1
+    assert result.final_assignment == {0: (0, 1), 1: (0, 2), 2: (0, 0)}
 
 
 def test_route_rejects_oversized_circuits():
