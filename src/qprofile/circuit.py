@@ -3,12 +3,17 @@
 The gate set is H, RX, RZ, CNOT, MEASURE. Rotation angles are normalized
 into [0, 2pi). Duration accounting packs gates into moments as soon as
 their qubits are free; each moment costs the duration of its slowest gate.
+
+h, cnot and measure intern their gates, typed so that numpy and int indices
+stay apart: each angle-free gate is built and validated once per process. rx
+and rz build per call, since the optimizer moves their angles every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .problem import ProblemGraph
 from .timing import TimingModel
@@ -50,6 +55,7 @@ class Gate:
             raise ValueError(f"{self.kind} takes no angle")
 
 
+@lru_cache(maxsize=4096, typed=True)
 def h(q: int) -> Gate:
     return Gate("H", (q,))
 
@@ -62,10 +68,12 @@ def rz(theta: float, q: int) -> Gate:
     return Gate("RZ", (q,), theta)
 
 
+@lru_cache(maxsize=4096, typed=True)
 def cnot(control: int, target: int) -> Gate:
     return Gate("CNOT", (control, target))
 
 
+@lru_cache(maxsize=4096, typed=True)
 def measure(q: int) -> Gate:
     return Gate("MEASURE", (q,))
 
@@ -128,10 +136,9 @@ def build_qaoa(g: ProblemGraph, params: QaoaParams) -> Circuit:
 
     Hadamards on every qubit, then per layer one CNOT-RZ(gamma)-CNOT block
     per edge (in sorted edge order) followed by RX(2 beta) on every qubit,
-    and trailing measurements. Gate count: n + p*(3|E| + n) + n. Gates are
-    immutable, so the ansatz reuses them: one CNOT object per edge serves
-    both ends of its block in every layer, and one RZ per layer and qubit
-    serves every edge that targets that qubit.
+    and trailing measurements. Gate count: n + p*(3|E| + n) + n. H, CNOT and
+    MEASURE are the interned gates of h, cnot and measure, and one RZ per
+    layer and qubit serves every edge that targets that qubit.
     """
     gates: list[Gate] = [h(q) for q in range(g.n)]
     cnots = [cnot(i, j) for i, j in g.edges]

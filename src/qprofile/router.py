@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, Gate, QaoaParams, build_qaoa, cnot
+from .circuit import Circuit, Gate, QaoaParams, build_qaoa, cnot, h, measure
 from .problem import generate_instance
 from .util import mix_seed
 
@@ -69,10 +69,11 @@ def route(c: Circuit, layout: GridLayout) -> RouteResult:
     Returns the routed circuit on rows*cols physical qubits, the number of
     SWAPs inserted, and the final logical->physical cell map (every qubit
     of layout.assignment, including any beyond c.n). The bookkeeping runs
-    on integer cell indices, row * cols + col; a gate whose physical qubits
-    equal its logical ones is passed through, a gate repeated on unchanged
-    cells reuses its placed copy, and each SWAP's three CNOTs are built once
-    per call.
+    on integer cell indices, row * cols + col. A gate whose physical qubits
+    equal its logical ones is passed through. SWAP CNOTs and re-placed H,
+    CNOT and MEASURE gates come from the interning constructors of
+    qprofile.circuit, so each is built once per process; a re-placed RX or
+    RZ is built anew.
     """
     if c.n > layout.capacity:
         raise ValueError(f"{c.n} qubits exceed grid capacity {layout.capacity}")
@@ -83,18 +84,18 @@ def route(c: Circuit, layout: GridLayout) -> RouteResult:
     cols = layout.cols
     pos = {q: layout.cell_index(rc) for q, rc in layout.assignment.items()}
     occupant = {cell: q for q, cell in pos.items()}
-    swap_gates: dict[tuple[int, int], tuple[Gate, Gate, Gate]] = {}
     out: list[Gate] = []
     measures: list[Gate] = []
     swaps = 0
-    last = placed = None
     for g in c.gates:
         if g.kind == "MEASURE":
             measures.append(g)
             continue
         if len(g.qubits) == 1:
             cell = pos[g.qubits[0]]
-            out.append(g if cell == g.qubits[0] else Gate(g.kind, (cell,), g.theta))
+            if cell != g.qubits[0]:
+                g = h(cell) if g.kind == "H" else Gate(g.kind, (cell,), g.theta)
+            out.append(g)
             continue
         a, b = g.qubits
         mover, anchor = (a, b) if a < b else (b, a)
@@ -108,10 +109,8 @@ def route(c: Circuit, layout: GridLayout) -> RouteResult:
             else:
                 col += 1 if to_col > col else -1
             nxt = row * cols + col
-            triple = swap_gates.get((src, nxt))
-            if triple is None:
-                triple = swap_gates[src, nxt] = (cnot(src, nxt), cnot(nxt, src), cnot(src, nxt))
-            out += triple
+            fwd = cnot(src, nxt)
+            out += (fwd, cnot(nxt, src), fwd)
             other = occupant.get(nxt)
             occupant[nxt] = mover
             if other is None:
@@ -123,24 +122,18 @@ def route(c: Circuit, layout: GridLayout) -> RouteResult:
             swaps += 1
         pos[mover] = src
         cells = (pos[a], pos[b])
-        if cells == g.qubits:
-            out.append(g)
-            continue
-        if g is not last or cells != placed.qubits:
-            # an ansatz block's closing CNOT is its opening one, on the same cells
-            last, placed = g, Gate(g.kind, cells, g.theta)
-        out.append(placed)
+        out.append(g if cells == g.qubits else cnot(*cells))
 
     for g in measures:
         cell = pos[g.qubits[0]]
-        out.append(g if cell == g.qubits[0] else Gate("MEASURE", (cell,)))
+        out.append(g if cell == g.qubits[0] else measure(cell))
 
     routed = Circuit(n=layout.capacity, gates=tuple(out))
     final = {q: divmod(cell, cols) for q, cell in pos.items()}
     return RouteResult(routed, swaps, final)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerLawFit:
     """Least-squares fit of y = a * n^b in log-log space."""
 

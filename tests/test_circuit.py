@@ -55,6 +55,32 @@ def test_gates_are_frozen_and_carry_no_instance_dict():
     assert not hasattr(g, "__dict__")
 
 
+def test_angle_free_gates_are_interned():
+    assert cnot(0, 1) is cnot(0, 1)
+    assert h(2) is h(2)
+    assert measure(3) is measure(3)
+    # rotations are built per call: a cache of optimizer angles would only grow
+    assert rz(0.3, 1) is not rz(0.3, 1)
+    assert rx(0.3, 1) is not rx(0.3, 1)
+
+
+def test_a_rejected_gate_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            cnot(1, 1)
+
+
+def test_a_numpy_qubit_index_does_not_leak_into_the_interned_gate():
+    # indices no other test uses, so the numpy call is the first of its kind;
+    # numpy integers hash and compare like ints, and would share a cache
+    # entry with them unless the cache keys on type
+    gates = (cnot(np.int64(517), 518), h(np.int64(519)), measure(np.int64(520)))
+    assert repr(cnot(517, 518)) == "Gate(kind='CNOT', qubits=(517, 518), theta=None)"
+    assert repr(h(519)) == "Gate(kind='H', qubits=(519,), theta=None)"
+    assert repr(measure(520)) == "Gate(kind='MEASURE', qubits=(520,), theta=None)"
+    assert gates == (cnot(517, 518), h(519), measure(520))
+
+
 def test_angles_normalize_into_one_period():
     assert rz(-math.pi / 2, 0).theta == pytest.approx(3 * math.pi / 2)
     assert rx(TWO_PI, 0).theta == pytest.approx(0.0)

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from qprofile.circuit import Circuit, QaoaParams, build_qaoa, cnot, h, simplify
+from qprofile.circuit import Circuit, QaoaParams, build_qaoa, cnot, h, measure, simplify
 from qprofile.problem import generate_instance
 from qprofile.router import (
     GridLayout,
+    PowerLawFit,
     fit_power_law,
     grid_layout,
     route,
@@ -69,6 +71,19 @@ def test_routed_two_qubit_gates_are_always_grid_adjacent():
             ra, ca = divmod(gate.qubits[0], layout.cols)
             rb, cb = divmod(gate.qubits[1], layout.cols)
             assert abs(ra - rb) + abs(ca - cb) == 1
+
+
+def test_routed_cnots_and_measurements_are_the_interned_gates():
+    g = generate_instance(7, 4)
+    layout = grid_layout(7)
+    result = route(build_qaoa(g, PARAMS_P1), layout)
+    moved = [q for q in range(g.n) if result.final_assignment[q] != layout.assignment[q]]
+    assert result.swap_count > 0 and moved
+    for gate in result.circuit.gates:
+        if gate.kind == "CNOT":
+            assert gate is cnot(*gate.qubits)
+        elif gate.kind == "MEASURE":
+            assert gate is measure(gate.qubits[0])
 
 
 def _routed_probabilities_match(c: Circuit, n: int):
@@ -158,6 +173,16 @@ def test_power_law_fit_recovers_exact_laws():
     a, b, _ = fit_power_law(ns, [3 * n for n in ns])
     assert a == pytest.approx(3.0, abs=1e-9)
     assert b == pytest.approx(1.0, abs=1e-9)
+
+
+def test_power_law_fits_are_frozen_and_carry_no_instance_dict():
+    # the swap-study benchmark keeps one fit per study
+    fit = PowerLawFit.from_points([(5, 2.0, 0.1), (6, 3.0, 0.2), (7, 4.5, 0.3)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fit.b = 2.0
+    with pytest.raises((AttributeError, TypeError)):
+        fit.label = "x"
+    assert not hasattr(fit, "__dict__")
 
 
 def test_power_law_fit_validation():
