@@ -11,11 +11,11 @@ from .circuit import QaoaParams, build_qaoa, simplify
 from .client import AcquisitionData, ClusterClient, IterationTimings, ProtocolError, TransportError
 from .cluster import ClusterService, LatencyProfile, Topology
 from .compiler import compile
-from .harness import BenchmarkConfig, BenchmarkError, run_benchmark, run_swap_study
+from .harness import BenchmarkConfig, BenchmarkError, run_benchmark
 from .optimizer import qaoa_objective
 from .problem import ShotCounts, cut_value, generate_instance
 from .profiler import aggregate, compute_speedup, extrapolate, record_iteration
-from .router import RouteResult, grid_layout, route
+from .router import RouteResult, grid_layout, route, run_swap_study
 from .statevector import sample, simulate
 from .timing import TimingModel
 from .util import mix_seed

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -15,16 +16,17 @@ import sys
 from .client import ProtocolError, TransportError
 from .cluster import LatencyProfile, Topology, load_cluster_config, serve
 from .harness import (
+    PREPARE_MODES,
+    RESET_MODES,
+    TIMING_MODES,
     BenchmarkConfig,
     BenchmarkError,
     BenchmarkResult,
-    DEFAULT_SWAP_SIZES,
     load_reports,
-    load_swap_fit,
     run_benchmark,
-    run_swap_study,
 )
 from .profiler import extrapolate
+from .router import PowerLawFit, run_swap_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,8 +145,10 @@ def _cmd_swaps(args) -> int:
         instances_per_n=args.instances,
         seed=args.seed,
         p=args.p,
-        out_path=args.out,
     )
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(fit.to_csv())
     print(json.dumps({"a": fit.a, "b": fit.b, "residual": fit.residual}, sort_keys=True))
     for n, mean, std in fit.points:
         print(f"n={n:3d} swaps mean={mean:9.2f} std={std:7.2f}")
@@ -156,7 +160,8 @@ def _cmd_swaps(args) -> int:
 def _cmd_extrapolate(args) -> int:
     reports = load_reports(args.in_dir)
     if args.swap_fit:
-        swap_fit = load_swap_fit(args.swap_fit)
+        with open(args.swap_fit) as fh:
+            swap_fit = PowerLawFit.from_csv(fh.read())
     else:
         swap_fit = None if args.no_swap else run_swap_study()
     table = extrapolate(reports, args.target, swap_fit=swap_fit, shots=args.shots)
@@ -178,17 +183,21 @@ def build_parser() -> argparse.ArgumentParser:
         "against a virtual control cluster.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = BenchmarkConfig()
+    study = {k: v.default for k, v in inspect.signature(run_swap_study).parameters.items()}
 
     run = sub.add_parser("run", help="run the benchmark and print phase reports")
-    run.add_argument("--qubits", default="4,6,8,10,12,14", help='e.g. "4", "4,6", "4..14"')
-    run.add_argument("--shots", type=int, default=1000)
-    run.add_argument("--runs", type=int, default=40)
-    run.add_argument("--reset", choices=["passive", "active"], default="passive")
-    run.add_argument("--prepare", choices=["sequential", "parallel"], default="sequential")
+    run.add_argument(
+        "--qubits", default=",".join(map(str, config.qubits)), help='e.g. "4", "4,6", "4..14"'
+    )
+    run.add_argument("--shots", type=int, default=config.shots)
+    run.add_argument("--runs", type=int, default=config.runs)
+    run.add_argument("--reset", choices=RESET_MODES, default=config.reset)
+    run.add_argument("--prepare", choices=PREPARE_MODES, default=config.prepare)
     run.add_argument("--dilation", type=float, help="schedule dilation (default: the profile's)")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--p", type=int, default=2, help="ansatz layer count")
-    run.add_argument("--timing-mode", choices=["real", "virtual"], default="real")
+    run.add_argument("--seed", type=int, default=config.seed)
+    run.add_argument("--p", type=int, default=config.p, help="ansatz layer count")
+    run.add_argument("--timing-mode", choices=TIMING_MODES, default=config.timing_mode)
     run.add_argument("--profile", help="cluster config JSON (latency profile, topology)")
     run.add_argument(
         "--cluster", default="embedded", help='"embedded" (default) or host:port'
@@ -198,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="exit 4 if the mean of stop, prepare, start, wait_done, retrieve or "
-        "final_stop drifts >10%% from its profile nominal",
+        f"final_stop drifts >{CHECK_TOLERANCE:.0%}% from its profile nominal",
     )
     run.set_defaults(func=_cmd_run)
 
@@ -211,12 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("swaps", help="measure routed-SWAP scaling and fit a power law")
     sw.add_argument(
         "--qubits",
-        default=",".join(map(str, DEFAULT_SWAP_SIZES)),
+        default=",".join(map(str, study["ns"])),
         help="qubit counts to route (default: %(default)s)",
     )
-    sw.add_argument("--instances", type=int, default=20, help="instances per size")
-    sw.add_argument("--seed", type=int, default=1)
-    sw.add_argument("--p", type=int, default=2)
+    sw.add_argument(
+        "--instances", type=int, default=study["instances_per_n"], help="instances per size"
+    )
+    sw.add_argument("--seed", type=int, default=study["seed"])
+    sw.add_argument("--p", type=int, default=study["p"])
     sw.add_argument("--out", help="write the study as CSV")
     sw.set_defaults(func=_cmd_swaps)
 

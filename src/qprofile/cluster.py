@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import wire
-from .compiler import SEQUENCERS_PER_MODULE, CompiledJob
+from .compiler import _MODULE_PREFIX, SEQUENCERS_PER_MODULE, CompiledJob
 from .util import mix_seed
 
 SEQUENCER_STATES = ("idle", "armed", "running", "done")
@@ -122,20 +122,20 @@ class LatencyProfile:
 
 @dataclass(frozen=True)
 class Topology:
-    """The served modules; they must hold every sequencer compile places on."""
+    """The served modules, each with compile's SEQUENCERS_PER_MODULE slots;
+    they must hold every sequencer compile places on."""
 
     control_modules: int = 3
     readout_modules: int = 3
-    sequencers_per_module: int = SEQUENCERS_PER_MODULE
 
     def __post_init__(self):
-        if min(self.control_modules, self.readout_modules, self.sequencers_per_module) < 1:
+        if min(self.control_modules, self.readout_modules) < 1:
             raise ValueError("topology dimensions must be positive")
 
     def module_ids(self) -> tuple[str, ...]:
         return tuple(
-            [f"cm{i}" for i in range(self.control_modules)]
-            + [f"rm{i}" for i in range(self.readout_modules)]
+            [f"{_MODULE_PREFIX['control']}{i}" for i in range(self.control_modules)]
+            + [f"{_MODULE_PREFIX['readout']}{i}" for i in range(self.readout_modules)]
         )
 
     @classmethod
@@ -191,7 +191,7 @@ class ClusterState:
         self.prepare_gate = threading.Lock()  # serializes the serial component
         self.seqs: dict[tuple[str, int], _Sequencer] = {}
         for m in topology.module_ids():
-            for s in range(topology.sequencers_per_module):
+            for s in range(SEQUENCERS_PER_MODULE):
                 self.seqs[(m, s)] = _Sequencer()
         self.done_at: float | None = None
         self.start_pending = False

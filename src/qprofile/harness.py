@@ -32,9 +32,8 @@ from .client import ClusterClient
 from .cluster import ClusterService, LatencyProfile, Topology
 from .compiler import compile
 from .optimizer import OptimizerConfig, minimize
-from .problem import MIN_REGULAR_QUBITS, ProblemGraph, generate_instance, score
+from .problem import ProblemGraph, generate_instance, score
 from .profiler import AggregateReport, PhaseRecord, aggregate, record_iteration
-from .router import PowerLawFit, swap_scaling_experiment
 from .statevector import MAX_SIM_QUBITS, sample, simulate
 from .util import mix_seed
 
@@ -61,7 +60,8 @@ class BenchmarkConfig:
     same shots/runs/reset/prepare settings.
 
     `dilation` must match the dilation the serving cluster applies to its
-    schedule sleeps; for the embedded server it is applied automatically.
+    schedule sleeps, and equal `profile.dilation`, which the embedded server
+    runs with.
     """
 
     qubits: tuple[int, ...] = (4, 6, 8, 10, 12, 14)
@@ -98,6 +98,10 @@ class BenchmarkConfig:
             raise ValueError(f"timing_mode must be one of {TIMING_MODES}")
         if self.dilation < 0 or not math.isfinite(self.dilation):
             raise ValueError("dilation must be finite and non-negative")
+        if self.profile.dilation != self.dilation:
+            raise ValueError(
+                f"dilation {self.dilation} disagrees with profile.dilation {self.profile.dilation}"
+            )
         if (self.host is None) != (self.port is None):
             raise ValueError("host and port must be given together")
 
@@ -279,10 +283,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     if config.host is not None and config.port is not None:
         result = _run_cells(config, config.host, config.port)
     else:
-        if config.timing_mode == "virtual":
-            server_profile = LatencyProfile.zeroed()
-        else:
-            server_profile = replace(config.profile, dilation=config.dilation)
+        virtual = config.timing_mode == "virtual"
+        server_profile = LatencyProfile.zeroed() if virtual else config.profile
         topo = Topology.for_qubits(max(config.qubits))
         with ClusterService(server_profile, topo) as service:
             host, port = service.address
@@ -324,49 +326,3 @@ def load_reports(report_dir: str) -> dict[int, AggregateReport]:
     if not found:
         raise BenchmarkError(f"no report_<n>q.json files in {report_dir}")
     return found
-
-
-# Every size of the 4-regular family up to 14 qubits. The complete-graph
-# instances below MIN_REGULAR_QUBITS route differently, and mixing them in
-# steepens the fitted exponent that extrapolation applies to 4-regular graphs.
-DEFAULT_SWAP_SIZES = tuple(range(MIN_REGULAR_QUBITS, 15))
-
-
-def swap_study_csv(fit: PowerLawFit) -> str:
-    lines = ["n,mean_swaps,std_swaps"]
-    for n, mean, std in fit.points:
-        lines.append(f"{n},{mean:.6f},{std:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def run_swap_study(
-    ns=DEFAULT_SWAP_SIZES,
-    instances_per_n: int = 20,
-    seed: int = 1,
-    p: int = 2,
-    out_path: str | None = None,
-) -> PowerLawFit:
-    """Route random instances at each size and fit swaps ~ a * n^b.
-
-    Sizes n <= 4 (below MIN_REGULAR_QUBITS) draw the complete-graph
-    fallback, which lies outside the 4-regular family the default sizes
-    fit. The CSV written to out_path holds the per-size points; the fit is
-    recoverable from them (see load_swap_fit)."""
-    fit = swap_scaling_experiment(ns, instances_per_n=instances_per_n, seed=seed, p=p)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(swap_study_csv(fit))
-    return fit
-
-
-def load_swap_fit(path: str) -> PowerLawFit:
-    """Rebuild a PowerLawFit from a swap-study CSV."""
-    with open(path) as fh:
-        text = fh.read()
-    points = []
-    for line in text.splitlines()[1:]:
-        if not line.strip():
-            continue
-        n_text, mean_text, std_text = line.split(",")
-        points.append((int(n_text), float(mean_text), float(std_text)))
-    return PowerLawFit.from_points(points)

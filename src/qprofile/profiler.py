@@ -14,12 +14,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .client import IterationTimings
-from .router import PowerLawFit
 from .timing import DEFAULT_TIMING, TimingModel
+
+if TYPE_CHECKING:  # router imports fit_linear from here
+    from .router import PowerLawFit
 
 PHASE_ORDER = (
     "compile",

@@ -1,10 +1,14 @@
-"""Greedy SWAP routing onto a square grid and scaling analysis.
+"""Greedy SWAP routing onto a square grid, and the routed-SWAP study.
 
 Logical qubits are placed row-major on the smallest square grid that fits.
 When a two-qubit gate spans non-adjacent cells, the endpoint with the
 smaller logical index walks along a shortest Manhattan path (row step
 first) until the pair is adjacent. Each step is one SWAP, materialized as
 three CNOTs so routed circuits stay inside the base gate set.
+
+run_swap_study routes random instances at each size and fits the mean SWAP
+count to a * n^b; `qprofile swaps` prints and saves that PowerLawFit, and
+extrapolate turns it into a schedule term at the target size.
 """
 
 from __future__ import annotations
@@ -16,8 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Gate, QaoaParams, build_qaoa, cnot, h, measure
-from .problem import generate_instance
+from .problem import MIN_REGULAR_QUBITS, generate_instance
+from .profiler import fit_linear
 from .util import mix_seed
+
+# Every size of the 4-regular family up to 14 qubits. The complete-graph
+# instances below MIN_REGULAR_QUBITS route differently, and mixing them in
+# steepens the fitted exponent that extrapolation applies to 4-regular graphs.
+DEFAULT_SWAP_SIZES = tuple(range(MIN_REGULAR_QUBITS, 15))
 
 
 @dataclass(frozen=True)
@@ -152,37 +162,51 @@ class PowerLawFit:
         a, b, resid = fit_power_law([pt[0] for pt in points], [pt[1] for pt in points])
         return cls(a=a, b=b, residual=resid, points=points)
 
+    def to_csv(self) -> str:
+        """The per-size points; from_csv refits them."""
+        lines = ["n,mean_swaps,std_swaps"]
+        for n, mean, std in self.points:
+            lines.append(f"{n},{mean:.6f},{std:.6f}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, text: str) -> "PowerLawFit":
+        points = []
+        for line in text.splitlines()[1:]:
+            if line.strip():
+                n_text, mean_text, std_text = line.split(",")
+                points.append((int(n_text), float(mean_text), float(std_text)))
+        return cls.from_points(points)
+
 
 def fit_power_law(ns, means) -> tuple[float, float, float]:
-    ns = np.asarray(ns, dtype=float)
+    """(a, b, RMS log residual) of a linear fit of log(means) on log(ns)."""
+    if len(set(ns)) < 3:
+        raise ValueError(f"power-law fit needs at least 3 distinct sizes, got {sorted(set(ns))}")
+    logx = np.log(np.asarray(ns, dtype=float))
     means = np.asarray(means, dtype=float)
-    if len(ns) < 3:
-        raise ValueError("power-law fit needs at least 3 sizes")
     if np.any(means <= 0):
         raise ValueError("power-law fit needs positive means")
-    logx = np.log(ns)
     logy = np.log(means)
-    coeffs, *_ = np.linalg.lstsq(np.stack([logx, np.ones_like(logx)], axis=1), logy, rcond=None)
-    b, loga = float(coeffs[0]), float(coeffs[1])
-    resid = logy - (b * logx + loga)
-    return math.exp(loga), b, float(np.sqrt(np.mean(resid**2)))
+    line = fit_linear(zip(logx, logy))
+    resid = logy - line.evaluate(logx)
+    return math.exp(line.intercept), line.slope, float(np.sqrt(np.mean(resid**2)))
 
 
-def swap_scaling_experiment(
-    ns: tuple[int, ...] | list[int],
+def run_swap_study(
+    ns=DEFAULT_SWAP_SIZES,
     instances_per_n: int = 20,
     seed: int = 1,
     p: int = 2,
 ) -> PowerLawFit:
-    """Route ansatz circuits for each size and fit SWAP count vs n.
+    """Route random instances at each size and fit mean swaps ~ a * n^b.
 
     SWAP counts are angle-independent, so fixed nonzero angles are used.
-    Instances come from generate_instance, so n <= 4 draws the complete-graph
-    fallback, which lies outside the 4-regular family of larger sizes; keep
-    such sizes out of a fit meant to extrapolate 4-regular workloads.
+    Instances come from generate_instance, so n <= 4 (below
+    MIN_REGULAR_QUBITS) draws the complete-graph fallback, which lies
+    outside the 4-regular family of the default sizes; keep such sizes out
+    of a fit meant to extrapolate 4-regular workloads.
     """
-    if len(ns) < 3:
-        raise ValueError("need at least 3 qubit counts")
     if instances_per_n < 1:
         raise ValueError("need at least 1 instance per size")
     params = QaoaParams(

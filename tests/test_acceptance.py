@@ -22,7 +22,7 @@ from qprofile.circuit import Circuit, QaoaParams, build_qaoa, cnot, h, measure, 
 from qprofile.client import ClusterClient
 from qprofile.cluster import SEQUENCER_STATES, ClusterService, LatencyProfile, Topology
 from qprofile.compiler import compile, measure_job_size
-from qprofile.harness import BenchmarkConfig, run_benchmark, run_swap_study
+from qprofile.harness import BenchmarkConfig, run_benchmark
 from qprofile.optimizer import OptimizerConfig
 from qprofile.problem import generate_instance
 from qprofile.profiler import (
@@ -35,7 +35,7 @@ from qprofile.profiler import (
     schedule_speedup,
     swap_overhead_seconds,
 )
-from qprofile.router import PowerLawFit, fit_power_law
+from qprofile.router import PowerLawFit, fit_power_law, run_swap_study
 from qprofile.statevector import sample, simulate
 from qprofile.timing import DEFAULT_TIMING, TimingModel
 

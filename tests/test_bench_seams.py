@@ -38,3 +38,26 @@ def test_benchmark_nominal_reports_build(monkeypatch):
     assert sorted(reports) == [4, 8, 14]
     for report in reports.values():
         assert report.phase_mean("total") > report.phase_mean("schedule") > 0
+
+
+def test_swap_study_calls_the_router_names_the_benchmark_wraps(monkeypatch):
+    # bench/workloads.py counts instances, builds and routes on qprofile.router,
+    # and bench/selftest.py plants a miscounting router.route there
+    import qprofile.router as router
+    from qprofile import run_swap_study
+
+    calls = {"generate_instance": 0, "build_qaoa": 0, "route": 0}
+
+    def counted(name):
+        original = getattr(router, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(router, name, counted(name))
+    run_swap_study(ns=(5, 6, 7), instances_per_n=2, seed=0)
+    assert calls == {"generate_instance": 6, "build_qaoa": 6, "route": 6}

@@ -18,7 +18,7 @@ from qprofile.circuit import (
     simplify,
 )
 from qprofile.cluster import Topology
-from qprofile.compiler import CompileError, compile, measure_job_size
+from qprofile.compiler import SEQUENCERS_PER_MODULE, CompileError, compile, measure_job_size
 from qprofile.problem import generate_instance
 from qprofile.timing import DEFAULT_TIMING
 
@@ -138,9 +138,7 @@ def test_compile_error_cases():
 def test_every_program_file_lands_on_a_sequencer_of_the_topology():
     for n in range(2, 25):
         topology = Topology.for_qubits(n)
-        sequencers = {
-            (m, s) for m in topology.module_ids() for s in range(topology.sequencers_per_module)
-        }
+        sequencers = {(m, s) for m in topology.module_ids() for s in range(SEQUENCERS_PER_MODULE)}
         job = compile(build_qaoa(generate_instance(n, 0), PARAMS), 10, "active")
         placed = [(f.module, f.sequencer) for f in job.files]
         assert len(set(placed)) == len(placed) == 2 * n

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -8,22 +9,19 @@ import os
 import pytest
 
 from qprofile.circuit import QaoaParams, build_qaoa
-from qprofile.cli import _check_latencies, main, parse_cluster, parse_qubits
+from qprofile.cli import _check_latencies, build_parser, main, parse_cluster, parse_qubits
 from qprofile.cluster import ClusterService, LatencyProfile, Topology
 from qprofile.harness import (
     BenchmarkConfig,
     BenchmarkError,
     load_reports,
-    load_swap_fit,
     run_benchmark,
-    run_swap_study,
-    swap_study_csv,
     write_outputs,
 )
 from qprofile.optimizer import OptimizerConfig
 from qprofile.problem import generate_instance
 from qprofile.profiler import PHASE_ORDER
-from qprofile.router import grid_layout, route
+from qprofile.router import PowerLawFit, grid_layout, route, run_swap_study
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,6 +65,8 @@ def test_config_validation():
         BenchmarkConfig(timing_mode="dry")
     with pytest.raises(ValueError):
         BenchmarkConfig(dilation=-1.0)
+    with pytest.raises(ValueError, match="profile.dilation"):
+        BenchmarkConfig(profile=LatencyProfile(dilation=0.0))  # dilation stays 1.0
     with pytest.raises(ValueError):
         BenchmarkConfig(host="localhost")  # port missing
 
@@ -228,11 +228,13 @@ def test_external_endpoint_is_used(tmp_path):
 
 def test_swap_study_csv_written_and_reloadable(tmp_path):
     path = tmp_path / "swaps.csv"
-    fit = run_swap_study(ns=(4, 5, 6), instances_per_n=2, seed=1, out_path=str(path))
+    argv = ["swaps", "--qubits", "4,5,6", "--instances", "2", "--seed", "1", "--out", str(path)]
+    assert main(argv) == 0
+    fit = run_swap_study(ns=(4, 5, 6), instances_per_n=2, seed=1)
     text = path.read_text()
     assert text.splitlines()[0] == "n,mean_swaps,std_swaps"
-    assert text == swap_study_csv(fit)
-    loaded = load_swap_fit(str(path))
+    assert text == fit.to_csv()
+    loaded = PowerLawFit.from_csv(text)
     assert loaded.points == fit.points
     assert loaded.b == pytest.approx(fit.b, rel=1e-6)
 
@@ -365,6 +367,28 @@ def test_cli_rejects_bad_configuration(capsys):
     assert main(["run", "--qubits", "0"]) == 2
     assert main(["run", "--cluster", "nope"]) == 2
     assert main(["bogus"]) == 2
+
+
+def test_cli_swaps_rejects_fewer_than_three_distinct_sizes(capsys):
+    assert main(["swaps", "--qubits", "5,5,5", "--instances", "1"]) == 2
+    assert "3 distinct sizes" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_config_and_study_defaults():
+    parser = build_parser()
+    run = parser.parse_args(["run"])
+    config = BenchmarkConfig()
+    assert parse_qubits(run.qubits) == config.qubits
+    assert (run.shots, run.runs, run.reset, run.prepare, run.seed, run.p, run.timing_mode) == (
+        config.shots, config.runs, config.reset, config.prepare, config.seed, config.p,
+        config.timing_mode,
+    )
+    swaps = parser.parse_args(["swaps"])
+    study = inspect.signature(run_swap_study).parameters
+    assert parse_qubits(swaps.qubits) == study["ns"].default
+    assert (swaps.instances, swaps.seed, swaps.p) == (
+        study["instances_per_n"].default, study["seed"].default, study["p"].default
+    )
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from qprofile.router import (
     fit_power_law,
     grid_layout,
     route,
-    swap_scaling_experiment,
+    run_swap_study,
 )
 from qprofile.statevector import simulate
 
@@ -188,13 +188,17 @@ def test_power_law_fits_are_frozen_and_carry_no_instance_dict():
 def test_power_law_fit_validation():
     with pytest.raises(ValueError):
         fit_power_law((4, 6), (1.0, 2.0))
+    with pytest.raises(ValueError, match="3 distinct sizes"):
+        fit_power_law((5, 5, 5), (20.0, 21.0, 22.0))
+    with pytest.raises(ValueError, match="3 distinct sizes"):
+        fit_power_law((5, 5, 6), (20.0, 21.0, 22.0))
     with pytest.raises(ValueError):
         fit_power_law((4, 6, 8), (1.0, 0.0, 2.0))
 
 
 def test_scaling_experiment_is_deterministic():
-    a = swap_scaling_experiment((4, 5, 6), instances_per_n=3, seed=1)
-    b = swap_scaling_experiment((4, 5, 6), instances_per_n=3, seed=1)
+    a = run_swap_study((4, 5, 6), instances_per_n=3, seed=1)
+    b = run_swap_study((4, 5, 6), instances_per_n=3, seed=1)
     assert a.points == b.points
     assert a.b == b.b
     assert [pt[0] for pt in a.points] == [4, 5, 6]
@@ -207,6 +211,6 @@ def test_scaling_experiment_is_deterministic():
 
 def test_scaling_experiment_validation():
     with pytest.raises(ValueError):
-        swap_scaling_experiment((4, 6), instances_per_n=2)
+        run_swap_study((4, 6), instances_per_n=2)
     with pytest.raises(ValueError):
-        swap_scaling_experiment((4, 5, 6), instances_per_n=0)
+        run_swap_study((4, 5, 6), instances_per_n=0)

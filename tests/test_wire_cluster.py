@@ -152,6 +152,14 @@ def test_cluster_config_file_round_trip(tmp_path):
     assert topology.control_modules == 2
 
 
+def test_cluster_config_rejects_a_sequencer_count(tmp_path):
+    # compile places qubit q on slot q % SEQUENCERS_PER_MODULE of its module
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps({"topology": {"sequencers_per_module": 4}}))
+    with pytest.raises(ValueError, match="unknown topology key.*sequencers_per_module"):
+        load_cluster_config(str(path))
+
+
 # -- sequencer state machine (direct dispatch, no sockets) --------------------
 
 
