@@ -24,8 +24,9 @@ from .harness import (
     BenchmarkResult,
     load_reports,
     run_benchmark,
+    write_outputs,
 )
-from .profiler import extrapolate
+from .profiler import extrapolate, shared_meta
 from .router import PowerLawFit, run_swap_study
 
 EXIT_OK = 0
@@ -60,14 +61,18 @@ def parse_qubits(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def parse_host_port(text: str, option: str, lowest_port: int = 1) -> tuple[str, int]:
+    """Split "host:port". Raises ValueError naming option unless the host is
+    non-empty and the port is a decimal in lowest_port..65535."""
+    host, sep, port_text = text.rpartition(":")
+    if not sep or not host or not port_text.isdigit() or not lowest_port <= int(port_text) <= 65535:
+        raise ValueError(f"{option} must be host:port (port {lowest_port}..65535), got {text!r}")
+    return host, int(port_text)
+
+
 def parse_cluster(text: str) -> tuple[str | None, int | None]:
     """"embedded" -> in-process service; "host:port" -> external endpoint."""
-    if text == "embedded":
-        return None, None
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host or not port_text.isdigit() or not 1 <= int(port_text) <= 65535:
-        raise ValueError(f'cluster must be "embedded" or host:port (port 1..65535), got {text!r}')
-    return host, int(port_text)
+    return (None, None) if text == "embedded" else parse_host_port(text, "--cluster")
 
 
 def _load_profile(
@@ -115,13 +120,13 @@ def _cmd_run(args) -> int:
         profile_name=profile_name,
         host=host,
         port=port,
-        out_dir=args.out,
     )
     result = run_benchmark(config)
     for n in config.qubits:
         print(f"== {n} qubits ==")
         print(result.report(n).to_csv(), end="")
     if args.out:
+        write_outputs(result, args.out)
         print(f"reports written to {args.out}")
     if args.check:
         failures = _check_latencies(result)
@@ -134,8 +139,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    host, port = parse_host_port(args.bind, "--bind", lowest_port=0)
     profile, topology, _ = _load_profile(args.profile, args.dilation)
-    serve(args.bind, profile=profile, topology=topology)
+    serve(host, port, profile=profile, topology=topology)
     return EXIT_OK
 
 
@@ -146,32 +152,31 @@ def _cmd_swaps(args) -> int:
         seed=args.seed,
         p=args.p,
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(fit.to_csv())
     print(json.dumps({"a": fit.a, "b": fit.b, "residual": fit.residual}, sort_keys=True))
     for n, mean, std in fit.points:
         print(f"n={n:3d} swaps mean={mean:9.2f} std={std:7.2f}")
     if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(fit.to_csv())
         print(f"study written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_extrapolate(args) -> int:
     reports = load_reports(args.in_dir)
-    if args.swap_fit:
+    p = shared_meta(reports, "p")  # one workload, which the default study routes
+    if args.swap_fit:  # a saved study carries no p
         with open(args.swap_fit) as fh:
             swap_fit = PowerLawFit.from_csv(fh.read())
     else:
-        swap_fit = None if args.no_swap else run_swap_study()
-    table = extrapolate(reports, args.target, swap_fit=swap_fit, shots=args.shots)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table.to_csv())
+        swap_fit = None if args.no_swap else run_swap_study(p=p)
+    table = extrapolate(reports, args.target, swap_fit=swap_fit)
     if table.interpolation:
         print(f"note: target {table.target_n} lies inside the measured range")
     print(table.to_csv(), end="")
     if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(table.to_csv())
         print(f"table written to {args.out}")
     return EXIT_OK
 
@@ -234,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("extrapolate", help="extrapolate phase runtimes to a target size")
     ex.add_argument("--in", dest="in_dir", required=True, help="directory with report_<n>q.json")
     ex.add_argument("--target", type=int, required=True)
-    ex.add_argument("--swap-fit", help="swap study CSV from the swaps command")
+    ex.add_argument("--swap-fit", help="swaps --out CSV (default: a study at the reports' p)")
     ex.add_argument("--no-swap", action="store_true", help="skip the SWAP schedule term")
-    ex.add_argument("--shots", type=int, default=None, help="override shots from report meta")
     ex.add_argument("--out", help="write the table as CSV")
     ex.set_defaults(func=_cmd_extrapolate)
 

@@ -122,27 +122,24 @@ class LatencyProfile:
 
 @dataclass(frozen=True)
 class Topology:
-    """The served modules, each with compile's SEQUENCERS_PER_MODULE slots;
-    they must hold every sequencer compile places on."""
+    """`modules` control modules and as many readout modules, each with
+    SEQUENCERS_PER_MODULE slots: compile puts both roles of qubit q on
+    module q // SEQUENCERS_PER_MODULE, so one count sizes both."""
 
-    control_modules: int = 3
-    readout_modules: int = 3
+    modules: int = 3
 
     def __post_init__(self):
-        if min(self.control_modules, self.readout_modules) < 1:
-            raise ValueError("topology dimensions must be positive")
+        if self.modules < 1:
+            raise ValueError(f"modules must be positive, got {self.modules}")
 
     def module_ids(self) -> tuple[str, ...]:
-        return tuple(
-            [f"{_MODULE_PREFIX['control']}{i}" for i in range(self.control_modules)]
-            + [f"{_MODULE_PREFIX['readout']}{i}" for i in range(self.readout_modules)]
-        )
+        roles = ("control", "readout")
+        return tuple(f"{_MODULE_PREFIX[r]}{i}" for r in roles for i in range(self.modules))
 
     @classmethod
     def for_qubits(cls, n: int) -> "Topology":
         """The smallest topology holding compile's placement of n qubits."""
-        modules = max(1, -(-n // SEQUENCERS_PER_MODULE))
-        return cls(control_modules=modules, readout_modules=modules)
+        return cls(modules=max(1, -(-n // SEQUENCERS_PER_MODULE)))
 
 
 def load_cluster_config(path: str) -> tuple[LatencyProfile, Topology]:
@@ -429,26 +426,18 @@ def _meta_problem(meta) -> str | None:
 
 
 def serve(
-    bind: str = "127.0.0.1:7780",
+    host: str,
+    port: int,
     profile: LatencyProfile | None = None,
     topology: Topology | None = None,
 ) -> None:
-    """Run a cluster service until SIGINT/SIGTERM. CLI entry point."""
-    host, _, port_text = bind.partition(":")
-    port = int(port_text or 0)
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port must be in 0..65535 (0: ephemeral), got {port}")
-    service = ClusterService(profile=profile, topology=topology)
-    host_out, port_out = service.start(host or "127.0.0.1", port)
-    print(f"cluster listening on {host_out}:{port_out}", flush=True)
-
+    """Serve on host:port (port 0: ephemeral) until SIGINT/SIGTERM. CLI entry point."""
     stop_event = threading.Event()
-
-    def _stop(signum, frame):
-        stop_event.set()
-
-    signal.signal(signal.SIGINT, _stop)
-    signal.signal(signal.SIGTERM, _stop)
+    for sig in (signal.SIGINT, signal.SIGTERM):  # before the address line invites a signal
+        signal.signal(sig, lambda signum, frame: stop_event.set())
+    service = ClusterService(profile=profile, topology=topology)
+    host_out, port_out = service.start(host, port)
+    print(f"cluster listening on {host_out}:{port_out}", flush=True)
     try:
         while not stop_event.wait(0.2):
             pass

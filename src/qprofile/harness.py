@@ -57,7 +57,8 @@ class BenchmarkError(RuntimeError):
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """One benchmark cell grid: every configured qubit count is run with the
-    same shots/runs/reset/prepare settings.
+    same shots/runs/reset/prepare settings. It holds what is measured, not
+    where results go: write_outputs takes the output directory.
 
     `dilation` must match the dilation the serving cluster applies to its
     schedule sleeps, and equal `profile.dilation`, which the embedded server
@@ -77,7 +78,6 @@ class BenchmarkConfig:
     profile_name: str = "default"
     host: str | None = None
     port: int | None = None
-    out_dir: str | None = None
     optimizer: OptimizerConfig | None = None
 
     def __post_init__(self):
@@ -96,8 +96,6 @@ class BenchmarkConfig:
             raise ValueError(f"prepare must be one of {PREPARE_MODES}")
         if self.timing_mode not in TIMING_MODES:
             raise ValueError(f"timing_mode must be one of {TIMING_MODES}")
-        if self.dilation < 0 or not math.isfinite(self.dilation):
-            raise ValueError("dilation must be finite and non-negative")
         if self.profile.dilation != self.dilation:
             raise ValueError(
                 f"dilation {self.dilation} disagrees with profile.dilation {self.profile.dilation}"
@@ -279,19 +277,12 @@ def _run_cells(config: BenchmarkConfig, host: str, port: int) -> BenchmarkResult
 
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkResult:
     """Run every configured cell, against an embedded cluster unless an
-    external endpoint is given, and write reports when out_dir is set."""
+    external endpoint is given. Writes nothing; see write_outputs."""
     if config.host is not None and config.port is not None:
-        result = _run_cells(config, config.host, config.port)
-    else:
-        virtual = config.timing_mode == "virtual"
-        server_profile = LatencyProfile.zeroed() if virtual else config.profile
-        topo = Topology.for_qubits(max(config.qubits))
-        with ClusterService(server_profile, topo) as service:
-            host, port = service.address
-            result = _run_cells(config, host, port)
-    if config.out_dir:
-        write_outputs(result, config.out_dir)
-    return result
+        return _run_cells(config, config.host, config.port)
+    server_profile = LatencyProfile.zeroed() if config.timing_mode == "virtual" else config.profile
+    with ClusterService(server_profile, Topology.for_qubits(max(config.qubits))) as service:
+        return _run_cells(config, *service.address)
 
 
 def write_outputs(result: BenchmarkResult, out_dir: str) -> None:
@@ -322,7 +313,10 @@ def load_reports(report_dir: str) -> dict[int, AggregateReport]:
         if not m:
             continue
         with open(os.path.join(report_dir, name)) as fh:
-            found[int(m.group(1))] = AggregateReport.from_json(fh.read())
+            try:
+                found[int(m.group(1))] = AggregateReport.from_json(fh.read())
+            except ValueError as exc:  # json.JSONDecodeError too
+                raise ValueError(f"{name} in {report_dir}: {exc}") from exc
     if not found:
         raise BenchmarkError(f"no report_<n>q.json files in {report_dir}")
     return found

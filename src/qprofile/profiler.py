@@ -152,15 +152,21 @@ class AggregateReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AggregateReport":
+        """Parse to_json's text. Raises ValueError naming phases, meta or the
+        phase stat (mean_ms, std_ms, count; JSON numbers only) that is wrong."""
         raw = json.loads(text)
-        phases = {
-            name: PhaseStats(
-                mean_ms=float(p["mean_ms"]),
-                std_ms=float(p["std_ms"]),
-                count=int(p["count"]),
-            )
-            for name, p in raw["phases"].items()
-        }
+        if not isinstance(raw, dict) or not isinstance(raw.get("phases"), dict):
+            raise ValueError("report needs a phases object")
+        if not isinstance(raw.get("meta", {}), dict):
+            raise ValueError("report meta must be an object")
+        keys = ("mean_ms", "std_ms", "count")
+        phases = {}
+        for name, p in raw["phases"].items():
+            values = [p.get(key) if isinstance(p, dict) else None for key in keys]
+            for key, value in zip(keys, values):
+                if type(value) not in (int, float):
+                    raise ValueError(f"report phase {name} needs a numeric {key}, got {value!r}")
+            phases[name] = PhaseStats(float(values[0]), float(values[1]), int(values[2]))
         return cls(meta=raw.get("meta", {}), phases=phases)
 
     def to_csv(self) -> str:
@@ -285,6 +291,15 @@ def swap_overhead_seconds(
     return shots * swap_fit.evaluate(n) * 3.0 * t.gate_2q
 
 
+def shared_meta(reports_by_n: dict[int, AggregateReport], key: str) -> int:
+    """The meta[key] every report carries, as an int. Raises ValueError when
+    a report lacks it or two reports disagree on it."""
+    values = {report.meta.get(key) for report in reports_by_n.values()}
+    if len(values) != 1 or None in values:
+        raise ValueError(f"reports disagree on {key}: {sorted(values, key=repr)}")
+    return int(values.pop())
+
+
 def extrapolate(
     reports_by_n: dict[int, AggregateReport],
     target_n: int,
@@ -306,11 +321,7 @@ def extrapolate(
     keys = key_sets.pop()
     phase_names = [p for p in PHASE_ORDER if p in keys and p != "total"]
 
-    if shots is None:
-        shot_values = {reports_by_n[n].meta.get("shots") for n in ns}
-        if len(shot_values) != 1 or None in shot_values:
-            raise ValueError("reports disagree on shots; pass shots explicitly")
-        shots = int(shot_values.pop())
+    shots = shared_meta(reports_by_n, "shots") if shots is None else shots
     if target_n < 1 or shots < 1:
         raise ValueError(f"target and shots must be at least 1, got {target_n} and {shots}")
 

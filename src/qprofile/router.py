@@ -185,8 +185,8 @@ def fit_power_law(ns, means) -> tuple[float, float, float]:
         raise ValueError(f"power-law fit needs at least 3 distinct sizes, got {sorted(set(ns))}")
     logx = np.log(np.asarray(ns, dtype=float))
     means = np.asarray(means, dtype=float)
-    if np.any(means <= 0):
-        raise ValueError("power-law fit needs positive means")
+    if not np.all(np.isfinite(means) & (means > 0)):
+        raise ValueError(f"power-law fit needs finite positive means, got {means.tolist()}")
     logy = np.log(means)
     line = fit_linear(zip(logx, logy))
     resid = logy - line.evaluate(logx)

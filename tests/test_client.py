@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import socket
 import struct
@@ -95,6 +96,59 @@ def test_wait_done_timeout_counts_from_the_announced_done_time(monkeypatch):
             acquisition, t = client.run_iteration(job)
     assert sorted(acquisition.bits) == [0, 1, 2, 3]
     assert t.start_s + t.wait_done_wall_s >= 0.15
+
+
+def _script_status(svc, states) -> None:
+    """Answer svc's status requests with the given states, in order, and
+    then with the cluster's own state."""
+    states = iter(states)
+    real = svc.handle_status
+
+    def status():
+        state = next(states, None)
+        return real() if state is None else {"ok": True, "state": state}
+
+    svc.handle_status = status
+
+
+def test_wait_done_polls_until_the_cluster_reports_done(k4_job):
+    with ClusterService(LatencyProfile.zeroed(), Topology.for_qubits(4), noise_seed=5) as svc:
+        commands = _record_commands(svc)
+        _script_status(svc, ["running", "running"])
+        with ClusterClient(*svc.address) as client:
+            acquisition, _ = client.run_iteration(k4_job)
+    assert commands.count("status") == 3
+    assert commands[-2:] == ["retrieve", "stop"]
+    assert sorted(acquisition.bits) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("state", ["idle", "armed"])
+def test_wait_done_on_a_cluster_that_left_running_raises_and_stops_it(k4_job, state):
+    with ClusterService(LatencyProfile.zeroed(), Topology.for_qubits(4), noise_seed=5) as svc:
+        commands = _record_commands(svc)
+        _script_status(svc, [state])
+        with ClusterClient(*svc.address) as client:
+            with pytest.raises(ProtocolError, match=f"went {state}"):
+                client.run_iteration(k4_job)
+        assert commands[-2:] == ["status", "stop"]
+        with svc.state.lock:
+            assert svc.state.phase_locked() == "idle"
+
+
+def test_wait_done_gives_up_on_a_schedule_that_never_finishes(monkeypatch, k4_job):
+    monkeypatch.setattr(qclient, "WAIT_TIMEOUT_S", 0.05)
+    with ClusterService(LatencyProfile.zeroed(), Topology.for_qubits(4), noise_seed=5) as svc:
+        commands = _record_commands(svc)
+        _script_status(svc, itertools.repeat("running"))
+        with ClusterClient(*svc.address) as client:
+            started = time.perf_counter()
+            with pytest.raises(TransportError, match="timed out"):
+                client.run_iteration(k4_job)
+            assert time.perf_counter() - started >= 0.05
+        assert commands.count("status") >= 2
+        assert commands[-1] == "stop"
+        with svc.state.lock:
+            assert svc.state.phase_locked() == "idle"
 
 
 def test_parallel_prepare_round_trip(zeroed_service, k4_job):

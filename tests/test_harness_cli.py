@@ -5,11 +5,17 @@ import inspect
 import json
 import math
 import os
+import select
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import qprofile
 from qprofile.circuit import QaoaParams, build_qaoa
 from qprofile.cli import _check_latencies, build_parser, main, parse_cluster, parse_qubits
+from qprofile.client import ClusterClient
 from qprofile.cluster import ClusterService, LatencyProfile, Topology
 from qprofile.harness import (
     BenchmarkConfig,
@@ -20,8 +26,15 @@ from qprofile.harness import (
 )
 from qprofile.optimizer import OptimizerConfig
 from qprofile.problem import generate_instance
-from qprofile.profiler import PHASE_ORDER
+from qprofile.profiler import (
+    PHASE_ORDER,
+    AggregateReport,
+    PhaseStats,
+    extrapolate,
+    swap_overhead_seconds,
+)
 from qprofile.router import PowerLawFit, grid_layout, route, run_swap_study
+from qprofile.timing import DEFAULT_TIMING
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,13 +102,12 @@ def test_meta_carries_the_run_configuration():
 def test_virtual_runs_are_bit_reproducible(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    run_benchmark(_virtual_config(out_dir=str(out_a)))
-    run_benchmark(_virtual_config(out_dir=str(out_b)))
-    for name in ("report_3q.json", "report_3q.csv", "records_3q.jsonl"):
+    write_outputs(run_benchmark(_virtual_config()), str(out_a))
+    write_outputs(run_benchmark(_virtual_config()), str(out_b))
+    names = ["records_3q.jsonl", "report_3q.csv", "report_3q.json", "summary.json"]
+    assert sorted(os.listdir(out_a)) == sorted(os.listdir(out_b)) == names
+    for name in names:  # summary.json too: no output path leaks into a file
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-    summary_a = json.loads((out_a / "summary.json").read_text())
-    summary_b = json.loads((out_b / "summary.json").read_text())
-    assert summary_a["runs"] == summary_b["runs"]
 
 
 # measured phases against a cluster that never sleeps, so a gap would show
@@ -194,7 +206,8 @@ def test_check_names_prepare_when_only_prepare_drifts():
 
 
 def test_outputs_round_trip(tmp_path):
-    result = run_benchmark(_virtual_config(runs=1, out_dir=str(tmp_path)))
+    result = run_benchmark(_virtual_config(runs=1))
+    write_outputs(result, str(tmp_path))
     for name in ("report_3q.json", "report_3q.csv", "records_3q.jsonl", "summary.json"):
         assert (tmp_path / name).exists()
     loaded = load_reports(str(tmp_path))
@@ -287,6 +300,36 @@ def test_parse_cluster_forms():
 def test_cli_serve_rejects_an_out_of_range_port(capsys):
     assert main(["serve", "--bind", "127.0.0.1:70000"]) == 2
     assert "65535" in capsys.readouterr().err
+    # --bind follows --cluster's host:port rule, except that port 0 is allowed
+    for bind in ("127.0.0.1:", "7780", ":7780", "127.0.0.1:-1"):
+        assert main(["serve", "--bind", bind]) == 2
+        assert "--bind must be host:port" in capsys.readouterr().err
+
+
+def test_cli_serve_runs_until_sigterm():
+    src = os.path.dirname(os.path.dirname(qprofile.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qprofile.cli", "serve", "--bind", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+        assert ready, "no address line within 30 s"
+        line = proc.stdout.readline()
+        assert line.startswith("cluster listening on 127.0.0.1:"), line
+        port = int(line.rsplit(":", 1)[1])
+        with ClusterClient("127.0.0.1", port) as client:
+            assert client.status()["state"] == "idle"
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=30.0)
+        assert proc.returncode == 0, err
+        assert out.strip() == "cluster stopped"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30.0)
 
 
 def _run_args(out_dir: str, *extra: str) -> list[str]:
@@ -404,6 +447,9 @@ def test_cli_defaults_are_the_config_and_study_defaults():
                      id="topology-string"),
         pytest.param({"topology": {"readout_modules": 2.0}}, "readout_modules",
                      id="topology-float"),
+        pytest.param({"topology": {"modules": "3"}}, "modules", id="modules-string"),
+        pytest.param({"topology": {"modules": 2.0}}, "modules", id="modules-float"),
+        pytest.param({"topology": {"modules": True}}, "modules", id="modules-boolean"),
         pytest.param([1, 2], "JSON object", id="top-level-list"),
     ],
 )
@@ -484,6 +530,70 @@ def test_cli_swaps_and_extrapolate_pipeline(tmp_path, capsys):
         code = main(["extrapolate", "--in", str(reports), "--swap-fit", str(study), *bad])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    # a study whose mean is not finite has no power law
+    nan_study = tmp_path / "nan.csv"
+    nan_study.write_text("n,mean_swaps,std_swaps\n5,nan,0.0\n6,4.0,0.0\n7,6.0,0.0\n")
+    code = main(["extrapolate", "--in", str(reports), "--target", "50",
+                 "--swap-fit", str(nan_study)])
+    assert code == 2
+    assert "finite positive means" in capsys.readouterr().err
+
+
+def _write_reports(path, p_by_n: dict[int, int]) -> dict[int, AggregateReport]:
+    """Reports at the sizes of p_by_n, each carrying its own meta p, written
+    to path as run --out writes them."""
+    reports = {}
+    for n, p in p_by_n.items():
+        phases = {name: PhaseStats(mean_ms=10.0 + n, std_ms=0.0, count=2) for name in PHASE_ORDER}
+        reports[n] = AggregateReport(meta={"qubits": n, "shots": 1000, "p": p}, phases=phases)
+    path.mkdir()
+    for n, report in reports.items():
+        (path / f"report_{n}q.json").write_text(report.to_json() + "\n")
+    return reports
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_cli_extrapolate_default_study_routes_the_reports_p(tmp_path, capsys, p):
+    reports = _write_reports(tmp_path / "reports", {4: p, 6: p, 8: p})
+    assert main(["extrapolate", "--in", str(tmp_path / "reports"), "--target", "50"]) == 0
+    rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:])
+    plain = dict(extrapolate(reports, 50).rows)
+    term = swap_overhead_seconds(50, run_swap_study(p=p), 1000, DEFAULT_TIMING)
+    assert rows["schedule"] == f"{plain['schedule'] + term:.6f}"
+
+
+def test_cli_extrapolate_refuses_reports_that_disagree_on_p(tmp_path, capsys):
+    # the linear fits would mix two workloads, whichever SWAP term is used
+    _write_reports(tmp_path / "reports", {4: 2, 6: 2, 8: 3})
+    for extra in ((), ("--no-swap",)):
+        argv = ["extrapolate", "--in", str(tmp_path / "reports"), "--target", "50", *extra]
+        assert main(argv) == 2
+        assert "disagree on p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "broken, named",
+    [
+        pytest.param(lambda raw: raw.pop("phases"), "phases", id="no-phases"),
+        pytest.param(lambda raw: raw.update(phases=[]), "phases", id="phases-a-list"),
+        pytest.param(lambda raw: raw.update(meta=[]), "meta", id="meta-a-list"),
+        pytest.param(lambda raw: raw["phases"]["prepare"].update(mean_ms="fast"), "mean_ms",
+                     id="text-mean"),
+        pytest.param(lambda raw: raw["phases"]["stop"].pop("count"), "count", id="no-count"),
+    ],
+)
+def test_cli_extrapolate_names_the_file_and_key_of_a_malformed_report(
+    tmp_path, capsys, broken, named
+):
+    _write_reports(tmp_path / "reports", {4: 2, 6: 2, 8: 2})
+    path = tmp_path / "reports" / "report_6q.json"
+    raw = json.loads(path.read_text())
+    broken(raw)
+    path.write_text(json.dumps(raw))
+    assert main(["extrapolate", "--in", str(tmp_path / "reports"), "--target", "50"]) == 2
+    err = capsys.readouterr().err
+    assert "report_6q.json" in err and named in err, err
 
 
 def test_cli_extrapolate_requires_reports(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -194,6 +195,9 @@ def test_power_law_fit_validation():
         fit_power_law((5, 5, 6), (20.0, 21.0, 22.0))
     with pytest.raises(ValueError):
         fit_power_law((4, 6, 8), (1.0, 0.0, 2.0))
+    for bad in (math.nan, math.inf):  # NaN passes a `<= 0` test
+        with pytest.raises(ValueError, match="finite positive means"):
+            fit_power_law((4, 6, 8), (1.0, bad, 2.0))
 
 
 def test_scaling_experiment_is_deterministic():

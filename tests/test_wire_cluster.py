@@ -130,10 +130,10 @@ def test_topology_module_ids_and_sizing():
     t = Topology()
     assert t.module_ids() == ("cm0", "cm1", "cm2", "rm0", "rm1", "rm2")
     small = Topology.for_qubits(4)
-    assert small.control_modules == 1 and small.readout_modules == 1
-    assert Topology.for_qubits(14).control_modules == 3
+    assert small.modules == 1 and small.module_ids() == ("cm0", "rm0")
+    assert Topology.for_qubits(14).modules == 3
     with pytest.raises(ValueError):
-        Topology(control_modules=0)
+        Topology(modules=0)
 
 
 def test_cluster_config_file_round_trip(tmp_path):
@@ -142,22 +142,25 @@ def test_cluster_config_file_round_trip(tmp_path):
         json.dumps(
             {
                 "latency": {"stop_ms": 1.5, "dilation": 0.0},
-                "topology": {"control_modules": 2, "readout_modules": 2},
+                "topology": {"modules": 2},
             }
         )
     )
     profile, topology = load_cluster_config(str(path))
     assert profile.stop_ms == 1.5
     assert profile.start_ms == LatencyProfile().start_ms  # unset keys keep defaults
-    assert topology.control_modules == 2
+    assert topology.modules == 2
 
 
 def test_cluster_config_rejects_a_sequencer_count(tmp_path):
-    # compile places qubit q on slot q % SEQUENCERS_PER_MODULE of its module
+    # compile places qubit q on slot q % SEQUENCERS_PER_MODULE of module
+    # q // SEQUENCERS_PER_MODULE in both roles, so neither count is a key
     path = tmp_path / "cluster.json"
-    path.write_text(json.dumps({"topology": {"sequencers_per_module": 4}}))
-    with pytest.raises(ValueError, match="unknown topology key.*sequencers_per_module"):
-        load_cluster_config(str(path))
+    removed = {"sequencers_per_module": 4, "control_modules": 2, "readout_modules": 1}
+    for key, value in removed.items():
+        path.write_text(json.dumps({"topology": {key: value}}))
+        with pytest.raises(ValueError, match=f"unknown topology key.*{key}"):
+            load_cluster_config(str(path))
 
 
 # -- sequencer state machine (direct dispatch, no sockets) --------------------
