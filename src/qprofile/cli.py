@@ -14,7 +14,7 @@ import os
 import sys
 
 from .client import ProtocolError, TransportError
-from .cluster import LatencyProfile, Topology, load_cluster_config, serve
+from .cluster import INSTRUMENT_PHASES, LatencyProfile, Topology, load_cluster_config, serve
 from .harness import (
     PREPARE_MODES,
     RESET_MODES,
@@ -28,6 +28,7 @@ from .harness import (
 )
 from .profiler import extrapolate, shared_meta
 from .router import PowerLawFit, run_swap_study
+from .statevector import MAX_SIM_QUBITS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,13 +76,11 @@ def parse_cluster(text: str) -> tuple[str | None, int | None]:
     return (None, None) if text == "embedded" else parse_host_port(text, "--cluster")
 
 
-def _load_profile(
-    path: str | None, dilation: float | None
-) -> tuple[LatencyProfile, Topology, str]:
-    profile, topology = load_cluster_config(path) if path else (LatencyProfile(), Topology())
+def _load_profile(path: str | None, dilation: float | None) -> tuple[LatencyProfile, str]:
+    profile = load_cluster_config(path) if path else LatencyProfile()
     if dilation is not None:  # --dilation overrides the profile's
         profile = dataclasses.replace(profile, dilation=dilation)
-    return profile, topology, os.path.basename(path) if path else "default"
+    return profile, os.path.basename(path) if path else "default"
 
 
 def _check_latencies(result: BenchmarkResult) -> list[str]:
@@ -89,7 +88,7 @@ def _check_latencies(result: BenchmarkResult) -> list[str]:
     nominal report (the profile's latencies for the jobs the cell ran)."""
     failures = []
     for n, cell in result.cells.items():
-        for phase in ("stop", "prepare", "start", "wait_done", "retrieve", "final_stop"):
+        for phase in INSTRUMENT_PHASES:
             nominal = cell.nominal.phase_mean(phase)
             if nominal <= 0:
                 continue
@@ -104,7 +103,7 @@ def _check_latencies(result: BenchmarkResult) -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    profile, _, profile_name = _load_profile(args.profile, args.dilation)
+    profile, profile_name = _load_profile(args.profile, args.dilation)
     host, port = parse_cluster(args.cluster)
     config = BenchmarkConfig(
         qubits=parse_qubits(args.qubits),
@@ -140,8 +139,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_serve(args) -> int:
     host, port = parse_host_port(args.bind, "--bind", lowest_port=0)
-    profile, topology, _ = _load_profile(args.profile, args.dilation)
-    serve(host, port, profile=profile, topology=topology)
+    profile, _ = _load_profile(args.profile, args.dilation)
+    # every placement of every qubit count run accepts
+    serve(host, port, profile, Topology.for_qubits(MAX_SIM_QUBITS))
     return EXIT_OK
 
 
@@ -167,7 +167,10 @@ def _cmd_extrapolate(args) -> int:
     p = shared_meta(reports, "p")  # one workload, which the default study routes
     if args.swap_fit:  # a saved study carries no p
         with open(args.swap_fit) as fh:
-            swap_fit = PowerLawFit.from_csv(fh.read())
+            try:
+                swap_fit = PowerLawFit.from_csv(fh.read())
+            except ValueError as exc:
+                raise ValueError(f"{args.swap_fit}: {exc}") from exc
     else:
         swap_fit = None if args.no_swap else run_swap_study(p=p)
     table = extrapolate(reports, args.target, swap_fit=swap_fit)
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=config.seed)
     run.add_argument("--p", type=int, default=config.p, help="ansatz layer count")
     run.add_argument("--timing-mode", choices=TIMING_MODES, default=config.timing_mode)
-    run.add_argument("--profile", help="cluster config JSON (latency profile, topology)")
+    run.add_argument("--profile", help="cluster config JSON (latency profile)")
     run.add_argument(
         "--cluster", default="embedded", help='"embedded" (default) or host:port'
     )
@@ -211,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--check",
         action="store_true",
-        help="exit 4 if the mean of stop, prepare, start, wait_done, retrieve or "
-        f"final_stop drifts >{CHECK_TOLERANCE:.0%}% from its profile nominal",
+        help=f"exit 4 if the mean of any of {', '.join(INSTRUMENT_PHASES)} drifts "
+        f">{CHECK_TOLERANCE:.0%}% from its profile nominal",
     )
     run.set_defaults(func=_cmd_run)
 
     srv = sub.add_parser("serve", help="run a virtual cluster service")
     srv.add_argument("--bind", default="127.0.0.1:7780", help="host:port, port 0 for ephemeral")
-    srv.add_argument("--profile", help="cluster config JSON (latency profile, topology)")
+    srv.add_argument("--profile", help="cluster config JSON (latency profile)")
     srv.add_argument("--dilation", type=float, help="schedule dilation (default: the profile's)")
     srv.set_defaults(func=_cmd_serve)
 

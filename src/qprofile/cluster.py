@@ -44,6 +44,8 @@ from .compiler import _MODULE_PREFIX, SEQUENCERS_PER_MODULE, CompiledJob
 from .util import mix_seed
 
 SEQUENCER_STATES = ("idle", "armed", "running", "done")
+# the phases of one iteration that the cluster's latencies set, in order
+INSTRUMENT_PHASES = ("stop", "prepare", "start", "wait_done", "retrieve", "final_stop")
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,9 @@ class LatencyProfile:
             prepare = (len(sizes) - 1) * self.prepare_serial_ms + self.prepare_ms(max(sizes))
         else:
             raise ValueError(f"unknown prepare mode {prepare_mode!r}")
-        return {
-            "stop": self.stop_ms,
-            "prepare": prepare,
-            "start": self.start_ms,
-            "wait_done": self.done_finalize_ms,
-            "retrieve": self.retrieve_ms * len(job.readout_modules()),
-            "final_stop": self.stop_ms,
-        }
+        retrieve = self.retrieve_ms * len(job.readout_modules())
+        ms = (self.stop_ms, prepare, self.start_ms, self.done_finalize_ms, retrieve, self.stop_ms)
+        return dict(zip(INSTRUMENT_PHASES, ms, strict=True))
 
 
 @dataclass(frozen=True)
@@ -142,33 +139,29 @@ class Topology:
         return cls(modules=max(1, -(-n // SEQUENCERS_PER_MODULE)))
 
 
-def load_cluster_config(path: str) -> tuple[LatencyProfile, Topology]:
-    """Read {"latency": {...}, "topology": {...}} from a JSON file. Raises
-    ValueError naming the section or key when the file or a section is not
-    a JSON object, a key is one LatencyProfile or Topology lacks, a latency
-    is not a number (LatencyProfile then refuses a negative or non-finite
-    one) or a topology value is not an int (JSON booleans are neither)."""
+def load_cluster_config(path: str) -> LatencyProfile:
+    """Read a latency profile, {"latency": {...}}, from a JSON file. Raises
+    ValueError naming the key when the file or its latency section is not a
+    JSON object, a top-level key is not "latency", a latency key is one
+    LatencyProfile lacks, or a latency is not a number (LatencyProfile then
+    refuses a negative or non-finite one; JSON booleans are not numbers)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path} must hold a JSON object, got {type(raw).__name__}")
-
-    def build(section: str, cls, valid, kind: str):
-        values = raw.get(section, {})
-        if not isinstance(values, dict):
-            raise ValueError(f"{section} in {path} must be an object, got {values!r}")
-        unknown = sorted(set(values) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown {section} key(s) in {path}: {', '.join(unknown)}")
-        for key, value in values.items():
-            if not valid(value):
-                raise ValueError(f"{section} key {key} in {path} must be {kind}, got {value!r}")
-        return cls(**values)
-
-    return (
-        build("latency", LatencyProfile, lambda value: type(value) in (int, float), "a number"),
-        build("topology", Topology, lambda value: type(value) is int, "an int"),
-    )
+    unknown = sorted(set(raw) - {"latency"})
+    if unknown:
+        raise ValueError(f"unknown key(s) in {path}: {', '.join(unknown)} (only latency is read)")
+    values = raw.get("latency", {})
+    if not isinstance(values, dict):
+        raise ValueError(f"latency in {path} must be an object, got {values!r}")
+    unknown = sorted(set(values) - {f.name for f in fields(LatencyProfile)})
+    if unknown:
+        raise ValueError(f"unknown latency key(s) in {path}: {', '.join(unknown)}")
+    for key, value in values.items():
+        if type(value) not in (int, float):
+            raise ValueError(f"latency key {key} in {path} must be a number, got {value!r}")
+    return LatencyProfile(**values)
 
 
 class _Sequencer:
@@ -425,17 +418,12 @@ def _meta_problem(meta) -> str | None:
     return None
 
 
-def serve(
-    host: str,
-    port: int,
-    profile: LatencyProfile | None = None,
-    topology: Topology | None = None,
-) -> None:
-    """Serve on host:port (port 0: ephemeral) until SIGINT/SIGTERM. CLI entry point."""
+def serve(host: str, port: int, profile: LatencyProfile, topology: Topology) -> None:
+    """Serve a cluster of topology on host:port (port 0: ephemeral) until SIGINT/SIGTERM."""
     stop_event = threading.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):  # before the address line invites a signal
         signal.signal(sig, lambda signum, frame: stop_event.set())
-    service = ClusterService(profile=profile, topology=topology)
+    service = ClusterService(profile, topology)
     host_out, port_out = service.start(host, port)
     print(f"cluster listening on {host_out}:{port_out}", flush=True)
     try:

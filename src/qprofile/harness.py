@@ -183,6 +183,8 @@ def _one_run(
         compile_ms = (time.perf_counter() - entered) * 1e3
 
         _acq, timings = client.run_iteration(job, prepare_mode=config.prepare)
+        # what follows, up to the next compile, is booked as the next optimizer
+        last_exit = time.perf_counter()
         iteration = len(records)
         nominals.append(
             PhaseRecord.from_phases(
@@ -216,7 +218,6 @@ def _one_run(
                     qubits=n,
                 )
             )
-        last_exit = time.perf_counter()
         return -mean_cut
 
     trace = minimize(objective, opt_cfg)

@@ -153,7 +153,7 @@ class AggregateReport:
     @classmethod
     def from_json(cls, text: str) -> "AggregateReport":
         """Parse to_json's text. Raises ValueError naming phases, meta or the
-        phase stat (mean_ms, std_ms, count; JSON numbers only) that is wrong."""
+        phase stat that is wrong (finite JSON numbers, >= 0; count >= 1)."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or not isinstance(raw.get("phases"), dict):
             raise ValueError("report needs a phases object")
@@ -164,8 +164,9 @@ class AggregateReport:
         for name, p in raw["phases"].items():
             values = [p.get(key) if isinstance(p, dict) else None for key in keys]
             for key, value in zip(keys, values):
-                if type(value) not in (int, float):
-                    raise ValueError(f"report phase {name} needs a numeric {key}, got {value!r}")
+                lowest = 1 if key == "count" else 0
+                if type(value) not in (int, float) or not lowest <= value < math.inf:
+                    raise ValueError(f"phase {name} needs a finite {key} >= {lowest}: {value!r}")
             phases[name] = PhaseStats(float(values[0]), float(values[1]), int(values[2]))
         return cls(meta=raw.get("meta", {}), phases=phases)
 

@@ -171,11 +171,15 @@ class PowerLawFit:
 
     @classmethod
     def from_csv(cls, text: str) -> "PowerLawFit":
+        """Refit to_csv's points; a malformed row raises ValueError naming its line."""
         points = []
-        for line in text.splitlines()[1:]:
+        for number, line in enumerate(text.splitlines()[1:], start=2):
             if line.strip():
-                n_text, mean_text, std_text = line.split(",")
-                points.append((int(n_text), float(mean_text), float(std_text)))
+                try:
+                    n_text, mean_text, std_text = line.split(",")
+                    points.append((int(n_text), float(mean_text), float(std_text)))
+                except ValueError:
+                    raise ValueError(f"line {number} is not n,mean_swaps,std_swaps: {line!r}")
         return cls.from_points(points)
 
 

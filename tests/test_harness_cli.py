@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -9,14 +10,17 @@ import select
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 import qprofile
+import qprofile.harness as harness
 from qprofile.circuit import QaoaParams, build_qaoa
 from qprofile.cli import _check_latencies, build_parser, main, parse_cluster, parse_qubits
 from qprofile.client import ClusterClient
-from qprofile.cluster import ClusterService, LatencyProfile, Topology
+from qprofile.cluster import INSTRUMENT_PHASES, ClusterService, LatencyProfile, Topology
+from qprofile.compiler import compile as compile_job
 from qprofile.harness import (
     BenchmarkConfig,
     BenchmarkError,
@@ -34,6 +38,7 @@ from qprofile.profiler import (
     swap_overhead_seconds,
 )
 from qprofile.router import PowerLawFit, grid_layout, route, run_swap_study
+from qprofile.statevector import MAX_SIM_QUBITS
 from qprofile.timing import DEFAULT_TIMING
 
 TWO_PI = 2.0 * math.pi
@@ -125,6 +130,34 @@ def test_total_equals_the_sum_of_its_phases(overrides):
         assert rec.total_ms == sum(rec.phase(name) for name in PHASE_ORDER if name != "total")
     component_sum = sum(cell.report.phase_mean(name) for name in PHASE_ORDER if name != "total")
     assert cell.report.phase_mean("total") == pytest.approx(component_sum, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_real_phases_book_the_time_between_objective_calls(monkeypatch, n):
+    # At zero latency and dilation 0 nothing is slept, so the time from the
+    # first objective call to the last is host work that phases must book:
+    # compile and the instrument phases of each iteration but the last, and
+    # the optimizer (the end of one protocol exchange to the next compile)
+    # of each iteration but the first. schedule is booked but not slept.
+    entries = []
+    minimize = harness.minimize
+
+    def stamped_minimize(objective, config):
+        def stamped(x):
+            entries.append(time.perf_counter())
+            return objective(x)
+
+        return minimize(stamped, config)
+
+    monkeypatch.setattr(harness, "minimize", stamped_minimize)
+    config = BenchmarkConfig(
+        qubits=(n,), runs=1, seed=1, dilation=0.0, profile=LatencyProfile.zeroed()
+    )
+    records = run_benchmark(config).cells[n].records
+    assert len(records) == len(entries) >= 10
+    booked = sum(r.phase(name) for r in records[:-1] for name in ("compile", *INSTRUMENT_PHASES))
+    booked += sum(r.optimizer_ms for r in records[1:])
+    assert booked == pytest.approx((entries[-1] - entries[0]) * 1e3, rel=0.01)
 
 
 def test_virtual_phase_means_match_the_profile_nominals():
@@ -306,12 +339,15 @@ def test_cli_serve_rejects_an_out_of_range_port(capsys):
         assert "--bind must be host:port" in capsys.readouterr().err
 
 
-def test_cli_serve_runs_until_sigterm():
+@contextlib.contextmanager
+def _serve_process(*args: str):
+    """A `qprofile serve --bind 127.0.0.1:0` child and the port it printed.
+    Every wait is bounded, and the child is killed if it is still running."""
     src = os.path.dirname(os.path.dirname(qprofile.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "qprofile.cli", "serve", "--bind", "127.0.0.1:0"],
+        [sys.executable, "-m", "qprofile.cli", "serve", "--bind", "127.0.0.1:0", *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
     try:
@@ -319,17 +355,34 @@ def test_cli_serve_runs_until_sigterm():
         assert ready, "no address line within 30 s"
         line = proc.stdout.readline()
         assert line.startswith("cluster listening on 127.0.0.1:"), line
-        port = int(line.rsplit(":", 1)[1])
+        yield proc, int(line.rsplit(":", 1)[1])
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30.0)
+
+
+def test_cli_serve_runs_until_sigterm():
+    with _serve_process() as (proc, port):
         with ClusterClient("127.0.0.1", port) as client:
             assert client.status()["state"] == "idle"
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=30.0)
         assert proc.returncode == 0, err
         assert out.strip() == "cluster stopped"
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30.0)
+
+
+def test_cli_serve_holds_every_placement_run_accepts(tmp_path):
+    # the largest job run accepts, compiled only: its files sit on modules 0..3
+    g = generate_instance(MAX_SIM_QUBITS, 1)
+    job = compile_job(build_qaoa(g, QaoaParams.from_flat([0.7, 0.4])), 100, "passive")
+    profile = tmp_path / "cluster.json"
+    profile.write_text(json.dumps({"latency": dataclasses.asdict(LatencyProfile.zeroed())}))
+    with _serve_process("--profile", str(profile)) as (_, port):
+        with ClusterClient("127.0.0.1", port) as client:
+            client.prepare(job, "sequential")
+            assert client.status()["state"] == "armed"
+            client.stop()
 
 
 def _run_args(out_dir: str, *extra: str) -> list[str]:
@@ -438,18 +491,17 @@ def test_cli_defaults_are_the_config_and_study_defaults():
     "config, named",
     [
         pytest.param({"latency": {"stop_msec": 1}}, "stop_msec", id="latency-stop_msec"),
-        pytest.param({"topology": {"racks": 1}}, "racks", id="topology-racks"),
+        pytest.param({"topology": {"racks": 1}}, "topology", id="topology-racks"),
         pytest.param({"latency": {"stop_ms": "x"}}, "stop_ms", id="latency-string"),
         pytest.param({"latency": {"stop_ms": True}}, "stop_ms", id="latency-boolean"),
         pytest.param({"latency": {"retrieve_ms": float("nan")}}, "retrieve_ms", id="latency-nan"),
         pytest.param({"latency": 5}, "latency", id="latency-not-an-object"),
-        pytest.param({"topology": {"control_modules": "3"}}, "control_modules",
-                     id="topology-string"),
-        pytest.param({"topology": {"readout_modules": 2.0}}, "readout_modules",
-                     id="topology-float"),
-        pytest.param({"topology": {"modules": "3"}}, "modules", id="modules-string"),
-        pytest.param({"topology": {"modules": 2.0}}, "modules", id="modules-float"),
-        pytest.param({"topology": {"modules": True}}, "modules", id="modules-boolean"),
+        pytest.param({"topology": {"control_modules": "3"}}, "topology", id="topology-string"),
+        pytest.param({"topology": {"readout_modules": 2.0}}, "topology", id="topology-float"),
+        pytest.param({"topology": {"modules": "3"}}, "topology", id="modules-string"),
+        pytest.param({"topology": {"modules": 2.0}}, "topology", id="modules-float"),
+        pytest.param({"topology": {"modules": True}}, "topology", id="modules-boolean"),
+        pytest.param({"latncy": {"stop_ms": 1.0}}, "latncy", id="misspelled-section"),
         pytest.param([1, 2], "JSON object", id="top-level-list"),
     ],
 )
@@ -581,6 +633,13 @@ def test_cli_extrapolate_refuses_reports_that_disagree_on_p(tmp_path, capsys):
         pytest.param(lambda raw: raw["phases"]["prepare"].update(mean_ms="fast"), "mean_ms",
                      id="text-mean"),
         pytest.param(lambda raw: raw["phases"]["stop"].pop("count"), "count", id="no-count"),
+        # json.loads reads NaN, and no measurement gives a negative std or an empty phase
+        pytest.param(lambda raw: raw["phases"]["prepare"].update(mean_ms=float("nan")),
+                     "mean_ms", id="nan-mean"),
+        pytest.param(lambda raw: raw["phases"]["start"].update(std_ms=-1.0), "std_ms",
+                     id="negative-std"),
+        pytest.param(lambda raw: raw["phases"]["retrieve"].update(count=0), "count",
+                     id="zero-count"),
     ],
 )
 def test_cli_extrapolate_names_the_file_and_key_of_a_malformed_report(
@@ -594,6 +653,20 @@ def test_cli_extrapolate_names_the_file_and_key_of_a_malformed_report(
     assert main(["extrapolate", "--in", str(tmp_path / "reports"), "--target", "50"]) == 2
     err = capsys.readouterr().err
     assert "report_6q.json" in err and named in err, err
+
+
+@pytest.mark.parametrize(
+    "row", [pytest.param("5,3.0", id="short-row"), pytest.param("five,3.0,1.0", id="text-size")]
+)
+def test_cli_extrapolate_names_the_line_of_a_malformed_swap_fit(tmp_path, capsys, row):
+    _write_reports(tmp_path / "reports", {4: 2, 6: 2, 8: 2})
+    study = tmp_path / "swaps.csv"
+    study.write_text(f"n,mean_swaps,std_swaps\n4,2.0,0.0\n{row}\n6,5.0,0.0\n")
+    argv = ["extrapolate", "--in", str(tmp_path / "reports"), "--target", "50",
+            "--swap-fit", str(study)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(study) in err and "line 3" in err and row in err, err
 
 
 def test_cli_extrapolate_requires_reports(tmp_path):

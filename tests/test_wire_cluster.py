@@ -138,29 +138,25 @@ def test_topology_module_ids_and_sizing():
 
 def test_cluster_config_file_round_trip(tmp_path):
     path = tmp_path / "cluster.json"
-    path.write_text(
-        json.dumps(
-            {
-                "latency": {"stop_ms": 1.5, "dilation": 0.0},
-                "topology": {"modules": 2},
-            }
-        )
-    )
-    profile, topology = load_cluster_config(str(path))
+    path.write_text(json.dumps({"latency": {"stop_ms": 1.5, "dilation": 0.0}}))
+    profile = load_cluster_config(str(path))
     assert profile.stop_ms == 1.5
     assert profile.start_ms == LatencyProfile().start_ms  # unset keys keep defaults
-    assert topology.modules == 2
 
 
-def test_cluster_config_rejects_a_sequencer_count(tmp_path):
-    # compile places qubit q on slot q % SEQUENCERS_PER_MODULE of module
-    # q // SEQUENCERS_PER_MODULE in both roles, so neither count is a key
+def test_cluster_config_refuses_a_topology_section(tmp_path):
+    # a cluster is sized from compile's placement (Topology.for_qubits), so no
+    # module or sequencer count is read from the file
     path = tmp_path / "cluster.json"
-    removed = {"sequencers_per_module": 4, "control_modules": 2, "readout_modules": 1}
+    removed = {"modules": 2, "sequencers_per_module": 4, "control_modules": 2, "readout_modules": 1}
     for key, value in removed.items():
-        path.write_text(json.dumps({"topology": {key: value}}))
-        with pytest.raises(ValueError, match=f"unknown topology key.*{key}"):
+        path.write_text(json.dumps({"latency": {"stop_ms": 1.0}, "topology": {key: value}}))
+        with pytest.raises(ValueError, match="unknown key.*: topology"):
             load_cluster_config(str(path))
+    # misspelled sections must not leave the default profile in place
+    path.write_text(json.dumps({"latncy": {"stop_ms": 1.0}, "topolgy": {"modules": 2}}))
+    with pytest.raises(ValueError, match="unknown key.*: latncy, topolgy"):
+        load_cluster_config(str(path))
 
 
 # -- sequencer state machine (direct dispatch, no sockets) --------------------
